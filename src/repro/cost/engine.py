@@ -275,8 +275,9 @@ class CostEngine:
         #: this term — bit-identical to a full evaluation.
         self._net_branch: list[float | None] = [None] * netlist.num_nets
         #: Lazily-built SoA mirror for the batched evaluation path (see
-        #: :mod:`repro.cost.soa`); None until the first batch probe, so
-        #: scalar-mode runs never pay for keeping it in sync.
+        #: :mod:`repro.cost.soa`); None until the first vectorized probe,
+        #: so runs whose rounds all stay on the scalar kernel never pay
+        #: for keeping it in sync.
         self._soa = None
         self._placement: Placement | None = None
         self.net_lengths: list[float] = []
@@ -739,8 +740,9 @@ class CostEngine:
     def soa_state(self):
         """The engine's SoA placement mirror, created on first use.
 
-        Scalar-mode runs never call this, so they never pay the mirror's
-        sync cost; once created, the mutation funnel keeps it fresh.
+        Runs whose probe rounds all stay on the scalar kernel never call
+        this, so they never pay the mirror's sync cost; once created, the
+        mutation funnel keeps it fresh.
         """
         soa = self._soa
         if soa is None:
@@ -752,20 +754,23 @@ class CostEngine:
             soa = self._soa = cls(self)
         return soa
 
-    def open_batch_probe(self, cell: int) -> "BatchProbeContext":
+    def open_batch_probe(
+        self, cell: int, exact: bool = False
+    ) -> "BatchProbeContext":
         """Open the batched (vectorized) probe kernel for one cell.
 
         The numpy counterpart of :meth:`open_probe`: ``scan_rows`` scores
         every candidate of a probe round in one set of array operations,
-        within the documented ulp budget of the scalar kernel (see
-        :mod:`repro.cost.soa`).  Valid until the next structural mutation.
+        within the documented ulp budget of the scalar kernel — or, with
+        ``exact=True``, bit-identical to it (see :mod:`repro.cost.soa`).
+        Valid until the next structural mutation.
         """
         cls = CostEngine._batch_cls
         if cls is None:
             from repro.cost.soa import BatchProbeContext
 
             CostEngine._batch_cls = cls = BatchProbeContext
-        return cls(self, cell)
+        return cls(self, cell, exact)
 
     def trial_insertion(self, cell: int, row: int, slot: int) -> TrialResult:
         """Score inserting the (currently unplaced) ``cell`` at (row, slot).

@@ -9,51 +9,74 @@ struct-of-arrays snapshot of the placement (:class:`SoAState`).
 
 Data layout
 -----------
-``SoAState`` (one per engine, created lazily on first batch probe) mirrors
-the placement's plain-list coordinates as float64 arrays with one extra
-**sentinel slot** at index ``num_cells`` holding NaN: per-cell pin tables
-are padded rectangles of cell indices where padding points at the
-sentinel, so one fancy-index gather yields an (incident-nets × max-degree)
+``SoAState`` (one per engine, created lazily on the first vectorized
+probe) mirrors the placement's plain-list coordinates as float64 arrays
+with one extra **sentinel slot** at index ``num_cells`` holding NaN:
+per-cell pin tables are padded rectangles of cell indices where padding
+points at the sentinel, so one fancy-index gather yields an
+(incident-nets × max-degree)
 coordinate matrix in which padding and unplaced cells are both NaN and a
 single ``isfinite`` mask separates placed pins.  The engine keeps the
 mirror in sync through its one mutation funnel
 (:meth:`~repro.cost.engine.CostEngine._update_nets_of` forwards exactly
 the coordinate-changed cells) and marks it stale on placement rebinds;
-scalar-mode runs never build it, so the default path pays nothing.
+runs whose probe rounds all stay on the scalar kernel never build it, so
+small-window runs pay nothing.
 
 On top of the coordinate mirror the state memoizes, per row, the array of
 candidate **insertion boundaries** (each resident cell's left edge in slot
-order).  Consecutive probe rounds differ by exactly one commit — one row's
-contents — so the engine's mutators invalidate just the rows they touch
+order, then the packed row end for the append slot).  Consecutive probe
+rounds differ by exactly one commit — one row's contents — so the
+engine's mutators invalidate just the rows they touch
 (:meth:`SoAState.invalidate_rows`) and a scan re-derives one row instead
 of all of them; any sync without row information conservatively drops the
 whole cache.
 
 Per probe round, ``BatchProbeContext`` gathers the fixed-pin matrices
-once, reduces them to per-net x extremes / sorted y columns, computes the
-estimator **y-term of every incident net for a whole row at once**
-(merged-median selection via ``take_along_axis``, replaying the scalar
-kernel's exact median choice), and then scores all candidates of all
+once, reduces them to per-net x extremes, computes the estimator
+**y-term of every incident net for a whole row at once** (the merged
+median by sorting each row's pin ys with the probe's ``cy`` in place,
+replaying the scalar kernel's exact median choice), and then scores all
+candidates of all
 probed windows as one (candidates × nets) broadcast: x-spans, wirelength
 and power partials, the delay ratio over the critical columns, the fuzzy
 goodness combine, and the per-row width-legality mask.  The winner is the
 **first** best legal candidate in scan order — ``np.argmax`` returns the
 first maximum, matching the scalar loop's strict-``>`` tie-break.
 
-Equivalence contract (the ulp budget)
--------------------------------------
+Two folds: budgeted and exact
+-----------------------------
 Per candidate, every *selection* (min/max extremes, medians, the merged
 median) and the candidate x coordinate are **bit-identical** to the scalar
-kernel; only the *sums* (branch terms, cost accumulations, the dot
-products) are re-associated by vectorization.  All summands are
-non-negative, so re-association cannot cancel — the result differs from
-the scalar kernel by at most a small relative error that grows with the
-number of terms.  The documented budget is :data:`BATCH_ULP_BUDGET` units
-in the last place on the final goodness value; ``eval_mode="check"`` runs
-(and the property tests) enforce it per candidate via :func:`ulp_diff`
-and raise :class:`EquivalenceError` past it.  Because an in-budget ulp
-flip can still swap an argmax, batch-mode *trajectories* may diverge from
-scalar ones; the bit-exact default stays ``eval_mode="scalar"``.
+kernel, and so is every elementwise operation.  What differs is how the
+*sums* are taken — the Steiner branch sums over a net's pins, and the
+wirelength, power and delay accumulations over the cell's nets.
+
+* The **budgeted** fold (``open_batch_probe(cell)``, ``eval_mode="batch"``)
+  uses ``.sum(axis=…)`` and ``@``.  Those re-associate: numpy's ``sum``
+  along a contiguous axis adds pairwise in unrolled blocks, ``@`` goes to
+  BLAS, and the probe pin's branch term is added last instead of at its
+  pin position.  All summands are non-negative, so re-association cannot
+  cancel — the result differs from the scalar kernel by a small relative
+  error that grows with the number of terms.  The documented budget is
+  :data:`BATCH_ULP_BUDGET` units in the last place on the final goodness
+  value; ``eval_mode="check"`` runs (and the property tests) enforce it
+  per candidate via :func:`ulp_diff` and raise :class:`EquivalenceError`
+  past it.  Because an in-budget ulp flip can still swap an argmax,
+  batch-mode *trajectories* may diverge from scalar ones.
+* The **exact** fold (``open_batch_probe(cell, exact=True)``) replays the
+  scalar kernel's accumulation order: each sum is a left fold
+  ``((0.0 + t0) + t1) + …`` over the nets (or, for a branch sum, over the
+  net's pins in pin order with the probe pin's term in the cell's own pin
+  position — the static insertion map in ``_CellStatic``).  A fold is
+  either a loop of vector adds over the folded axis or ``np.cumsum``
+  along it (:func:`_fold`); ``cumsum`` is an accumulate, so it adds
+  strictly in index order, unlike ``sum``/``@``.  Padding and unplaced
+  pins contribute ``+0.0``, which leaves a non-negative running sum
+  bit-unchanged.  The result is the scalar kernel's goodness bit for bit,
+  so ``eval_mode="scalar"`` runs large rounds on it (see
+  :mod:`repro.sime.allocation`) without changing any trajectory, and the
+  check gate demands ``==`` of it.
 
 Work charges are identical to the scalar paths: one ``allocation`` unit
 per candidate plus one per net-pin the scalar walk would visit, and one
@@ -86,7 +109,12 @@ BATCH_ULP_BUDGET = 128
 
 
 class EquivalenceError(AssertionError):
-    """Batch evaluation diverged from the scalar kernel past the budget."""
+    """Batch evaluation diverged from the scalar kernel past its contract
+    (the ulp budget, or bit equality for the exact fold)."""
+
+
+#: Default of ``assert_matches_scalar(best=…)``: no winner to check.
+_UNCHECKED = object()
 
 
 def _float_key(values: np.ndarray) -> np.ndarray:
@@ -107,21 +135,60 @@ def ulp_diff(a, b) -> np.ndarray:
     return np.where(ka >= kb, ka - kb, kb - ka)
 
 
-class _CellStatic:
-    """Static (netlist-only) batch tables for one cell's incident nets."""
+#: Folds over an axis at most this long run as a loop of vector adds;
+#: longer ones as one ``np.cumsum`` (whose per-element cost is higher but
+#: whose per-call cost is paid once).  Both are left folds.
+_FOLD_LOOP_MAX = 8
 
-    __slots__ = ("pins", "units", "act", "crit_cols", "crit_w", "crit_const",
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Left fold ``((0.0 + a0) + a1) + …`` of ``a`` along its last axis.
+
+    Replays the scalar kernel's running sums bit for bit: both branches
+    add the terms strictly in index order (see the module docstring), and
+    ``0.0 + a0`` is ``a0`` for the non-negative summands folded here.
+    """
+    n = a.shape[-1]
+    if n > _FOLD_LOOP_MAX:
+        return np.cumsum(a, axis=-1)[..., -1]
+    out = np.zeros(a.shape[:-1])
+    for k in range(n):
+        out += a[..., k]
+    return out
+
+
+class _CellStatic:
+    """Static (netlist-only) batch tables for one cell's incident nets.
+
+    ``pins`` holds each net's other pins in pin order, padded with the
+    sentinel.  ``pins_ext`` is the same table one column wider, with a
+    sentinel gap (marked in ``gap``) at the cell's own first pin position
+    in the net — the insertion map that lets the exact Steiner fold add
+    the probe pin's term where the scalar walk adds it.
+    """
+
+    __slots__ = ("pins", "pins_ext", "gap", "row_off", "units", "act",
+                 "crit_cols", "crit_w", "crit_const", "crit_dr", "crit_sc",
                  "o_wl", "o_pw", "o_d")
 
     def __init__(self, engine, soa: "SoAState", cell: int):
         nets = engine._cell_nets[cell]
         net_pins = engine.evaluator.net_pins
         others = [[c for c in net_pins[j] if c != cell] for j in nets]
+        ins = [net_pins[j].index(cell) for j in nets]
         d = max((len(o) for o in others), default=0)
         pins = np.full((len(nets), d), soa.n, dtype=np.intp)
-        for i, o in enumerate(others):
+        pins_ext = np.full((len(nets), d + 1), soa.n, dtype=np.intp)
+        for i, (o, k) in enumerate(zip(others, ins)):
             pins[i, : len(o)] = o
+            pins_ext[i, :k] = o[:k]
+            pins_ext[i, k + 1: len(o) + 1] = o[k:]
         self.pins = pins
+        self.pins_ext = pins_ext
+        self.gap = np.zeros(pins_ext.shape, dtype=bool)
+        self.gap[np.arange(len(nets)), np.asarray(ins, dtype=np.intp)] = True
+        #: Flat offset of each net's row in a raveled gapped table.
+        self.row_off = np.arange(len(nets), dtype=np.intp) * (d + 1)
         self.units = 1.0 + float(sum(engine._degrees[j] for j in nets))
         self.act = soa.act[np.asarray(nets, dtype=np.intp)] if nets else \
             np.zeros(0)
@@ -135,13 +202,15 @@ class _CellStatic:
                                         dtype=np.intp)
             dr = engine._drive_res
             sc = engine._sink_caps
-            wc = engine._wire_cap
-            self.crit_w = np.asarray([dr[j] * wc for j in crit])
+            self.crit_dr = np.asarray([dr[j] for j in crit], dtype=np.float64)
+            self.crit_sc = np.asarray([sc[j] for j in crit], dtype=np.float64)
+            self.crit_w = self.crit_dr * engine._wire_cap
             self.crit_const = float(sum(dr[j] * sc[j] for j in crit))
         else:
             self.crit_cols = np.zeros(0, dtype=np.intp)
             self.crit_w = np.zeros(0)
             self.crit_const = 0.0
+            self.crit_dr = self.crit_sc = np.zeros(0)
 
 
 class SoAState:
@@ -153,11 +222,13 @@ class SoAState:
     (``ensure_fresh``) after a placement rebind or full refresh.
     """
 
-    __slots__ = ("engine", "n", "xy", "x", "y", "widths", "act", "row_y",
+    __slots__ = ("n", "xy", "x", "y", "widths", "act", "row_y",
                  "_static", "_row_cache", "_stale", "_bound")
 
     def __init__(self, engine):
-        self.engine = engine
+        # No back-reference to the engine (which owns this mirror): the
+        # cycle would keep every finished run's engine alive until a full
+        # garbage collection, inflating peak memory over a sweep.
         self.n = engine.netlist.num_cells
         # x and y are views of one (2, n+1) block so a probe context can
         # fetch both coordinate matrices with a single fancy-index gather.
@@ -173,9 +244,9 @@ class SoAState:
             [grid.row_y(r) for r in range(grid.num_rows)]
         )
         self._static: dict[int, _CellStatic] = {}
-        #: row -> (cell indices, insertion boundaries) in slot order; see
-        #: the module docstring.  Entries are dropped by invalidate_rows.
-        self._row_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: row -> insertion boundaries in slot order (append slot last);
+        #: see the module docstring.  Entries are dropped by invalidate_rows.
+        self._row_cache: dict[int, np.ndarray] = {}
         self._stale = True
         self._bound = None
 
@@ -225,27 +296,33 @@ class SoAState:
             for r in rows:
                 cache.pop(r, None)
 
-    def row_bounds(self, row: int, cells: Sequence[int]) -> tuple:
-        """Cached ``(cell indices, insertion boundaries)`` of one row.
+    def row_bounds(
+        self, row: int, cells: Sequence[int], end: float
+    ) -> np.ndarray:
+        """Cached insertion boundaries of one row, one per slot.
 
         ``cells`` is the placement's current slot-ordered cell list for
-        ``row``; the boundary array holds each cell's left edge
-        (``x - width/2``) — the identical doubles the scalar kernel reads
-        per interior candidate.  Correctness rests on the engine's
-        mutators invalidating every row they touch (the equivalence tests
-        and the check-mode gate exercise exactly that).
+        ``row`` and ``end`` its packed width: entry ``s`` is the left edge
+        (``x - width/2``) of the cell in slot ``s``, and the last entry —
+        the append slot — is ``end``.  These are the identical doubles the
+        scalar kernel reads per candidate.  Correctness rests on the
+        engine's mutators invalidating every row they touch (the
+        equivalence tests and the check-mode gate exercise exactly that).
         """
         ent = self._row_cache.get(row)
         if ent is None:
             mid = np.asarray(cells, dtype=np.intp)
-            ent = (mid, self.x[mid] - self.widths[mid] * 0.5)
+            ent = np.empty(len(cells) + 1)
+            np.subtract(self.x[mid], self.widths[mid] * 0.5, out=ent[:-1])
+            ent[-1] = end
             self._row_cache[row] = ent
         return ent
 
-    def cell_static(self, cell: int) -> _CellStatic:
+    def cell_static(self, engine, cell: int) -> _CellStatic:
+        """Memoized static tables of ``cell`` (``engine`` owns the mirror)."""
         st = self._static.get(cell)
         if st is None:
-            st = self._static[cell] = _CellStatic(self.engine, self, cell)
+            st = self._static[cell] = _CellStatic(engine, self, cell)
         return st
 
 
@@ -255,20 +332,22 @@ class BatchProbeContext:
     Open via :meth:`repro.cost.engine.CostEngine.open_batch_probe`.  Like
     the scalar :class:`~repro.cost.probe.ProbeContext`, a context is valid
     until the next structural mutation; the allocator opens one per cell.
+    ``exact`` selects the exact fold over the budgeted one (module doc).
     """
 
     __slots__ = (
         "engine", "cell", "_p", "_soa", "_st", "_w", "_max_legal", "_units",
         "_steiner", "_has_power", "_has_delay", "_beta", "_n_obj",
-        "_mask", "_m", "_xlo", "_xhi", "_Y", "_ysort", "_ylo", "_yhi",
-        "_half", "_modd", "_net_off", "_pending_units", "_pending_probes",
+        "_mask", "_m", "_xlo", "_xhi", "_Y", "_Yg", "_ylo", "_yhi",
+        "_modd", "_i_lo", "_i_hi", "_pending_units", "_pending_probes",
+        "_exact",
     )
 
-    def __init__(self, engine, cell: int):
+    def __init__(self, engine, cell: int, exact: bool = False):
         p = engine._require_placement()
         soa = engine.soa_state()
         soa.ensure_fresh(p)
-        st = soa.cell_static(cell)
+        st = soa.cell_static(engine, cell)
         self.engine = engine
         self.cell = cell
         self._p = p
@@ -282,44 +361,35 @@ class BatchProbeContext:
         self._has_delay = engine.has_delay
         self._beta = engine._beta
         self._n_obj = 1 + int(self._has_power) + int(self._has_delay)
+        self._exact = exact
 
         # One gather: fixed-pin coordinate matrices (nets × max degree);
-        # padding and unplaced pins are NaN, one mask covers both.
+        # padding and unplaced pins are NaN (in both coordinates), one
+        # mask covers both.
         XY = soa.xy[:, st.pins]
         X = XY[0]
         Y = XY[1]
         mask = np.isfinite(X)
         self._mask = mask
         self._m = mask.sum(axis=1)
-        if X.shape[1]:
-            self._xlo = np.where(mask, X, np.inf).min(axis=1)
-            self._xhi = np.where(mask, X, -np.inf).max(axis=1)
-        else:
-            self._xlo = np.full(X.shape[0], np.inf)
-            self._xhi = np.full(X.shape[0], -np.inf)
+        self._xlo = np.fmin.reduce(X, axis=1, initial=np.inf)
+        self._xhi = np.fmax.reduce(X, axis=1, initial=-np.inf)
+        self._Y = self._Yg = self._ylo = self._yhi = None
+        self._modd = self._i_lo = self._i_hi = None
         if self._steiner:
-            # Placed ys sorted ascending, +inf padding — the merged-median
-            # selection indexes below never reach the padding for m ≥ 1.
-            self._Y = np.where(mask, Y, np.nan)
-            self._ysort = np.sort(np.where(mask, Y, np.inf), axis=1)
-            self._ylo = self._yhi = None
-            # Row-independent pieces of the merged-median selection: the
+            self._Y = Y
+            # The gapped pin table's ys (see _CellStatic), and the
+            # row-independent pieces of the merged-median selection: the
             # merged length is m + 1 per net, so the median indexes and
             # the odd/even parity never change across probed rows.
-            self._half = (self._m + 1) // 2
+            self._Yg = soa.y[st.pins_ext]
+            half = (self._m + 1) // 2
             self._modd = (self._m + 1) % 2 == 1
-            self._net_off = (
-                np.arange(mask.shape[0], dtype=np.intp) * mask.shape[1]
-            )
+            self._i_hi = st.row_off + half
+            self._i_lo = st.row_off + np.maximum(half - 1, 0)
         else:
-            self._Y = self._ysort = None
-            self._half = self._modd = self._net_off = None
-            if Y.shape[1]:
-                self._ylo = np.where(mask, Y, np.inf).min(axis=1)
-                self._yhi = np.where(mask, Y, -np.inf).max(axis=1)
-            else:
-                self._ylo = np.full(Y.shape[0], np.inf)
-                self._yhi = np.full(Y.shape[0], -np.inf)
+            self._ylo = np.fmin.reduce(Y, axis=1, initial=np.inf)
+            self._yhi = np.fmax.reduce(Y, axis=1, initial=-np.inf)
         self._pending_units = 0.0
         self._pending_probes = 0.0
 
@@ -327,55 +397,39 @@ class BatchProbeContext:
     def _yterms(self, rows: Sequence[int]) -> np.ndarray:
         """(rows × nets) estimator y-terms, every probed row in one shot.
 
-        For steiner the merged median per (row, net) replays the scalar
-        kernel's exact selection — the merged sequence is the sorted fixed
-        ys with the row's ``cy`` inserted at ``kins``, and the picks use
-        the same expressions (``srt[idx]`` below the insertion point,
-        ``cy`` at it, ``srt[idx-1]`` above), so every pick is the exact
-        same double.  Gathers are flat fancy indexes (``net_off + col``)
-        rather than ``take_along_axis`` — the wrapper overhead was the
-        batch path's single largest cost.
+        For steiner, each row's probe ``cy`` fills every net's gap in the
+        gapped pin table, so a row holds the net's pins in pin order with
+        the probe where the scalar walk meets it.  Sorting that row puts
+        the merged sequence first (NaN padding sorts last), so the median
+        picks are plain flat gathers at the row-independent merged
+        indexes ``half - 1`` and ``half`` — the same doubles the scalar
+        kernel's insertion-point selection returns.  The branch sum is
+        then taken by the exact fold over that pin-ordered row (probe pin
+        in place; ``fmax(·, 0.0)`` turns padding into exact ``+0.0``
+        summands) or by the budgeted ``sum`` plus the probe term.
         """
         cy = self._soa.row_y[np.asarray(rows, dtype=np.intp)]
-        m = self._m
         if not self._steiner:
             yt = (np.maximum(self._yhi[None, :], cy[:, None])
                   - np.minimum(self._ylo[None, :], cy[:, None]))
         else:
-            srt = self._ysort
-            n_nets, d = srt.shape
-            cyc = cy[:, None]
-            if d:
-                kins = (srt[None, :, :] < cy[:, None, None]).sum(axis=2)
-                flat = srt.ravel()
-                off = self._net_off
-                half = self._half
-                lo_idx = half - 1
-                # The merged-position picks stay within 0..d-1 whenever
-                # they are used (idx ≤ m, and the below-insertion branch
-                # implies idx ≤ kins-1 ≤ d-1); only the idx == kins case
-                # can go negative, and its gather result is discarded by
-                # the ``where`` below — clamp at 0 and skip the upper clip.
-                take_hi = np.where(half < kins, half, half - 1)
-                take_lo = np.where(lo_idx < kins, lo_idx, half - 2)
-                v_hi = flat[off + np.maximum(take_hi, 0)]
-                v_lo = flat[off + np.maximum(take_lo, 0)]
-            else:
-                kins = np.zeros((len(rows), n_nets), dtype=np.intp)
-                half = self._half
-                lo_idx = half - 1
-                v_hi = np.zeros_like(kins, dtype=np.float64)
-                v_lo = np.zeros_like(kins, dtype=np.float64)
-            v_hi = np.where(half == kins, cyc, v_hi)
-            v_lo = np.where(lo_idx == kins, cyc, v_lo)
+            full = np.where(self._st.gap, cy[:, None, None], self._Yg[None])
+            srt = np.sort(full, axis=2).reshape(len(cy), -1)
+            v_hi = srt[:, self._i_hi]
+            v_lo = srt[:, self._i_lo]
             med = np.where(self._modd, v_hi, 0.5 * (v_lo + v_hi))
-            branch = np.where(
-                self._mask[None, :, :],
-                np.abs(self._Y[None, :, :] - med[:, :, None]),
-                0.0,
-            ).sum(axis=2)
-            yt = branch + np.abs(cyc - med)
-        return np.where(m[None, :] > 0, yt, 0.0)
+            if self._exact:
+                yt = _fold(np.fmax(np.abs(full - med[:, :, None]), 0.0))
+            else:
+                yt = np.where(
+                    self._mask[None, :, :],
+                    np.abs(self._Y[None, :, :] - med[:, :, None]),
+                    0.0,
+                ).sum(axis=2) + np.abs(cy[:, None] - med)
+        # A net with no placed fixed pin gets exactly 0.0 with no masking:
+        # its HPWL span is cy - cy, and its only Steiner pin is the probe,
+        # which is its own median.
+        return yt
 
     # ------------------------------------------------------------------
     def _gather(
@@ -386,10 +440,11 @@ class BatchProbeContext:
     ) -> tuple:
         """One Python pass over the windows: clamp, charge, build meta.
 
-        Returns ``(meta, chunks, app_pos, app_val, pos)``.  ``meta`` is
-        the compact per-window bookkeeping ``(rows_used, los, oks, ends)``:
-        the clamped window rows, their first slots, their width-legality,
-        and the cumulative candidate-count ends.  Per-candidate row/slot/
+        Returns ``(meta, chunks, pos, counts)``.  ``meta`` is the compact
+        per-window bookkeeping ``(rows_used, los, oks, ends)``: the
+        clamped window rows, their first slots, their width-legality, and
+        the cumulative candidate-count ends (``counts`` holds the
+        per-window sizes, ``pos`` their total).  Per-candidate row/slot/
         legal views are derived from it on demand (:meth:`_candidate_at`
         for the single winner, :meth:`_expand_meta` for the equivalence
         paths) — the hot path never builds per-candidate Python lists.
@@ -405,10 +460,8 @@ class BatchProbeContext:
         """
         p = self._p
         rows = p.rows
-        soa = self._soa
-        row_bounds = soa.row_bounds
+        row_bounds = self._soa.row_bounds
         w = self._w
-        units = self._units
         row_width = p.row_width
         max_ok = self._max_legal + 1e-9
         rows_used: list[int] = []
@@ -417,13 +470,11 @@ class BatchProbeContext:
         ends: list[int] = []
         counts: list[int] = []
         chunks: list[np.ndarray] = []
-        app_pos: list[int] = []
-        app_val: list[float] = []
         pos = 0
+        charged = 0
         for row, lo, hi in windows:
-            if hi >= lo and charge:
-                self._pending_units += (hi - lo + 1) * units
-                self._pending_probes += float(hi - lo + 1)
+            if hi >= lo:
+                charged += hi - lo + 1
             width = row_width[row]
             ok = width + w <= max_ok
             if legal_only and not ok:
@@ -441,18 +492,18 @@ class BatchProbeContext:
             oks.append(ok)
             # Insertion boundaries: the next cell's left edge per interior
             # slot, the packed row end for the append slot — the same
-            # doubles the scalar kernel computes (the cached per-row
-            # boundary array holds exactly those left edges).
-            n_int = min(hi, n_row - 1) - lo + 1
-            chunks.append(row_bounds(row, cells)[1][lo: lo + n_int])
-            if hi == n_row:
-                app_pos.append(pos + n_int)
-                app_val.append(width)
-            pos += hi - lo + 1
-            counts.append(hi - lo + 1)
+            # doubles the scalar kernel computes.
+            chunks.append(row_bounds(row, cells, width)[lo: hi + 1])
+            n = hi - lo + 1
+            pos += n
+            counts.append(n)
             ends.append(pos)
-        return ((rows_used, los, oks, ends), chunks, app_pos, app_val, pos,
-                counts)
+        if charge:
+            # Integer-valued units: one product equals the scalar scan's
+            # per-window running sum exactly.
+            self._pending_units += charged * self._units
+            self._pending_probes += float(charged)
+        return (rows_used, los, oks, ends), chunks, pos, counts
 
     def _score(self, gathered: tuple) -> tuple[np.ndarray, ...]:
         """Score every gathered candidate with vectorized numpy.
@@ -461,27 +512,13 @@ class BatchProbeContext:
         in scan order (windows in order, slots ascending) — the order the
         argmax tie-break depends on.
         """
-        meta, chunks, app_pos, app_val, pos, counts = gathered
+        meta, chunks, pos, counts = gathered
         if not pos:
             empty_f = np.zeros(0)
             return empty_f, empty_f, meta
-        half_w = 0.5 * self._w
-        rows_used = meta[0]
-
-        inner = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if app_pos:
-            bounds = np.empty(pos)
-            keep = np.ones(pos, dtype=bool)
-            app = np.asarray(app_pos, dtype=np.intp)
-            keep[app] = False
-            bounds[keep] = inner
-            bounds[app] = app_val
-        else:
-            bounds = inner
-        cx = bounds + half_w
-        yt = self._yterms(rows_used)[
-            np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-        ]
+        bounds = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        cx = bounds + 0.5 * self._w
+        yt = np.repeat(self._yterms(meta[0]), counts, axis=0)
         lens = (
             np.maximum(self._xhi[None, :], cx[:, None])
             - np.minimum(self._xlo[None, :], cx[:, None])
@@ -489,27 +526,34 @@ class BatchProbeContext:
         )
         n_cand = cx.shape[0]
         st = self._st
-        c_wl = lens.sum(axis=1)
+        exact = self._exact
+        c_wl = _fold(lens) if exact else lens.sum(axis=1)
         r0 = np.divide(st.o_wl, c_wl, out=np.ones(n_cand),
                        where=c_wl > st.o_wl)
         worst = r0
-        total = r0.copy()
+        total = r0
         if self._has_power:
-            c_pw = lens @ st.act
+            c_pw = _fold(lens * st.act) if exact else lens @ st.act
             r1 = np.divide(st.o_pw, c_pw, out=np.ones(n_cand),
                            where=c_pw > st.o_pw)
             worst = np.minimum(worst, r1)
-            total += r1
+            total = total + r1
         if self._has_delay:
             if st.crit_cols.size:
-                c_d = lens[:, st.crit_cols] @ st.crit_w + st.crit_const
+                if exact:
+                    c_d = _fold(st.crit_dr * (
+                        self.engine._wire_cap * lens[:, st.crit_cols]
+                        + st.crit_sc
+                    ))
+                else:
+                    c_d = lens[:, st.crit_cols] @ st.crit_w + st.crit_const
                 r2 = np.divide(st.o_d, c_d, out=np.ones(n_cand),
                                where=c_d > st.o_d)
                 worst = np.minimum(worst, r2)
-                total += r2
+                total = total + r2
             else:
                 worst = np.minimum(worst, 1.0)
-                total += 1.0
+                total = total + 1.0
         g = self._beta * worst + (1.0 - self._beta) * (total / self._n_obj)
         return g, cx, meta
 
@@ -605,21 +649,28 @@ class BatchProbeContext:
 
     # ------------------------------------------------------------------
     def assert_matches_scalar(
-        self, scalar_ctx, windows: Sequence[tuple[int, int, int]]
+        self,
+        scalar_ctx,
+        windows: Sequence[tuple[int, int, int]],
+        best=_UNCHECKED,
     ) -> None:
         """The check-mode gate: batch vs scalar kernel, per candidate.
 
-        Scores the windows on the batch path (uncharged — the scalar scan
-        already paid) and asserts, for every candidate, identical width
-        legality and a goodness within :data:`BATCH_ULP_BUDGET` ulps of
-        the scalar kernel's charge-free evaluation.  Raises
-        :class:`EquivalenceError` on the first violation.
+        Scores the windows on the batch path (uncharged — the deciding
+        scan already paid) and asserts, for every candidate, identical
+        width legality and a goodness within :data:`BATCH_ULP_BUDGET` ulps
+        of the scalar kernel's charge-free evaluation — or, on an exact
+        context, an equal (``==``) goodness.  ``best``, the winner this
+        exact context's :meth:`scan_rows` chose, must also equal a replay
+        of the scalar scan (whose charges are left pending, never
+        flushed).  Raises :class:`EquivalenceError` on the first violation.
         """
         g, legal, rows_arr, slots_arr, cx = self.score_windows(
             windows, charge=False
         )
         p = self._p
         w = self._w
+        exact = self._exact
         for i in range(g.shape[0]):
             row = int(rows_arr[i])
             slot = int(slots_arr[i])
@@ -631,6 +682,13 @@ class BatchProbeContext:
                 )
             s_cx, _ = scalar_ctx._coords(row, slot)
             s_g = scalar_ctx._goodness_at(row, s_cx)
+            if exact:
+                if float(g[i]) != s_g:
+                    raise EquivalenceError(
+                        f"cell {self.cell} at ({row},{slot}): exact goodness "
+                        f"{float(g[i])!r} != scalar {s_g!r}"
+                    )
+                continue
             d = int(ulp_diff(float(g[i]), s_g)[0])
             if d > BATCH_ULP_BUDGET:
                 raise EquivalenceError(
@@ -638,4 +696,12 @@ class BatchProbeContext:
                     f"{float(g[i])!r} vs scalar {s_g!r} differs by {d} ulp "
                     f"(budget {BATCH_ULP_BUDGET}; cx {float(cx[i])!r} vs "
                     f"{s_cx!r})"
+                )
+        if best is not _UNCHECKED:
+            s_best = None
+            for row, lo, hi in windows:
+                s_best = scalar_ctx.scan_row(row, lo, hi, s_best)
+            if s_best != best:
+                raise EquivalenceError(
+                    f"cell {self.cell}: winner {best!r} != scalar {s_best!r}"
                 )

@@ -32,12 +32,19 @@ O(incident nets) — bit-identical results and meter charges to the scalar
 reference implementation the equivalence tests pin.
 
 ``SimEConfig.eval_mode`` selects the evaluation path on top of that:
-``"scalar"`` (default) keeps the bit-exact kernel above; ``"batch"``
-scores each cell's whole probe window in one vectorized pass over the
-engine's SoA mirror (:meth:`~repro.cost.engine.CostEngine.open_batch_probe`,
-equivalent within the documented ulp budget); ``"check"`` runs the scalar
-path — deciding and charging exactly — while re-scoring every candidate
-on the batch path and raising on any divergence past the budget.
+``"scalar"`` (default) keeps bit-exact semantics with two implementations
+dispatched by round size — rounds with at least
+:data:`EXACT_KERNEL_MIN_CANDIDATES` candidates in rows the cell fits in
+run on the vectorized kernel's exact fold (``open_batch_probe(cell,
+exact=True)``, bit-identical to the fused kernel), smaller ones on the
+fused kernel, whose per-candidate cost undercuts numpy's per-round
+dispatch there; ``"batch"`` scores each
+cell's whole probe window in one vectorized pass over the engine's SoA
+mirror (:meth:`~repro.cost.engine.CostEngine.open_batch_probe`, equivalent
+within the documented ulp budget); ``"check"`` decides and charges exactly
+like ``"scalar"`` while re-scoring every candidate on the budgeted batch
+path and raising on any divergence past the budget — and, on exact-kernel
+rounds, on any bit difference from the fused kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +57,14 @@ from repro.cost.engine import CostEngine, TrialResult
 from repro.sime.config import SimEConfig
 from repro.utils.rng import RngStream
 
-__all__ = ["Allocator"]
+__all__ = ["Allocator", "EXACT_KERNEL_MIN_CANDIDATES"]
+
+#: Scalar- and check-mode probe rounds with at least this many scored
+#: candidates (see ``Allocator._windows``) run on the exact vectorized
+#: fold instead of the fused kernel — same bits, same charges.  The
+#: measured crossover: below it numpy's fixed per-round cost outweighs
+#: the Python loop's per-candidate cost (DESIGN §2 has the table).
+EXACT_KERNEL_MIN_CANDIDATES = 100
 
 
 def _median(vals: list[float]) -> float:
@@ -171,18 +185,24 @@ class Allocator:
         return lo
 
     def _windows(
-        self, cand_rows: Sequence[int], tx: float
-    ) -> list[tuple[int, int, int]]:
-        """Probe windows ``(row, lo_slot, hi_slot)`` centred on the target.
+        self, cand_rows: Sequence[int], tx: float, width: float
+    ) -> tuple[list[tuple[int, int, int]], int]:
+        """Probe windows ``(row, lo_slot, hi_slot)`` centred on the target,
+        and the round's scored-candidate count.
 
         One shared window computation for every evaluation path, so the
         scalar, batch and check scans see byte-for-byte the same candidate
-        set in the same scan order (tie-breaking depends on it).
+        set in the same scan order (tie-breaking depends on it).  The
+        count covers the rows a cell of ``width`` fits in: both kernels
+        charge but skip the others, so only these cost scan time.
         """
         cfg = self.config
         p = self.engine.placement
+        row_width = p.row_width
+        max_ok = self.engine.grid.max_legal_width + 1e-9
         sw = cfg.slot_window
         out: list[tuple[int, int, int]] = []
+        n_cand = 0
         for r in cand_rows:
             n_row = len(p.rows[r])
             if n_row <= sw:
@@ -191,13 +211,15 @@ class Allocator:
                 # bounds are (0, n_row) no matter where the target lands —
                 # skip the boundary bisection.  Scan-heavy configurations
                 # (exhaustive row scans) hit this path on every row.
-                out.append((r, 0, n_row))
-                continue
-            ideal = self._ideal_slot(r, tx)
-            lo = max(0, ideal - sw)
-            hi = min(n_row, ideal + sw)
+                lo, hi = 0, n_row
+            else:
+                ideal = self._ideal_slot(r, tx)
+                lo = max(0, ideal - sw)
+                hi = min(n_row, ideal + sw)
             out.append((r, lo, hi))
-        return out
+            if row_width[r] + width <= max_ok:
+                n_cand += hi - lo + 1
+        return out, n_cand
 
     def _best_fit(
         self,
@@ -224,10 +246,14 @@ class Allocator:
             ]
             if row_memo is not None:
                 row_memo[target_row] = cand_rows
+        windows, n_cand = self._windows(
+            cand_rows, tx, engine.placement._widths[cell]
+        )
         if self.use_kernel:
-            windows = self._windows(cand_rows, tx)
-            if cfg.eval_mode == "batch":
-                bctx = engine.open_batch_probe(cell)
+            mode = cfg.eval_mode
+            exact = mode != "batch" and n_cand >= EXACT_KERNEL_MIN_CANDIDATES
+            if mode == "batch" or exact:
+                bctx = engine.open_batch_probe(cell, exact=exact)
                 kbest = bctx.scan_rows(windows)
                 bctx.flush_charges()
             else:
@@ -236,20 +262,24 @@ class Allocator:
                 for r, lo, hi in windows:
                     kbest = ctx.scan_row(r, lo, hi, kbest)
                 ctx.flush_charges()
-                if cfg.eval_mode == "check":
-                    # Equivalence gate: re-score every candidate on the
-                    # batch path (uncharged — the scalar scan paid) and
-                    # raise past the ulp budget.  The scalar decision is
-                    # always the one committed, so a checked run's
-                    # trajectory and charges equal a plain scalar run's.
-                    engine.open_batch_probe(cell).assert_matches_scalar(
-                        ctx, windows
-                    )
+            if mode == "check":
+                # Equivalence gate, uncharged (the deciding scan paid): an
+                # exact round must equal the fused kernel bit for bit,
+                # winner included; every round is re-scored on the
+                # budgeted batch path and raises past the ulp budget.  The
+                # committed decision is the scalar-mode one, so a checked
+                # run's trajectory and charges equal a plain scalar run's.
+                if exact:
+                    ctx = engine.open_probe(cell)
+                    bctx.assert_matches_scalar(ctx, windows, kbest)
+                engine.open_batch_probe(cell).assert_matches_scalar(
+                    ctx, windows
+                )
             if kbest is not None:
                 return kbest[1], kbest[2]
             return self._fallback(rows)
         best: TrialResult | None = None
-        for r, lo, hi in self._windows(cand_rows, tx):
+        for r, lo, hi in windows:
             for slot in range(lo, hi + 1):
                 t = engine.trial_insertion(cell, r, slot)
                 if not t.legal:

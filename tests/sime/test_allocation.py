@@ -148,14 +148,22 @@ def test_best_fit_keeps_first_best_on_ties(setup):
     assert len(ties) >= 2, "fixture produced no goodness tie; pick another cell"
     first = ties[0]
 
+    from repro.sime import allocation
     from repro.sime.allocation import Allocator
 
-    for use_kernel in (True, False):
+    # The fused kernel, the exact vectorized fold (every round dispatched
+    # to it) and the scalar reference loop.
+    for use_kernel, threshold in ((True, float("inf")), (True, 0),
+                                  (False, float("inf"))):
         Allocator.use_kernel = use_kernel
+        saved = allocation.EXACT_KERNEL_MIN_CANDIDATES
+        allocation.EXACT_KERNEL_MIN_CANDIDATES = threshold
         try:
             row, slot = allocator._best_fit(cell, rows)
         finally:
             Allocator.use_kernel = True
+            allocation.EXACT_KERNEL_MIN_CANDIDATES = saved
         assert (row, slot) == (first.row, first.slot), (
-            f"use_kernel={use_kernel} broke first-wins tie-breaking"
+            f"use_kernel={use_kernel}, exact threshold={threshold} broke "
+            "first-wins tie-breaking"
         )
