@@ -3,7 +3,7 @@
 
 Part 1 sweeps processor counts on the deterministic simulated cluster
 (model-seconds, the paper's Table 2 axis).  Part 2 runs the same SPMD
-Type II program on real OS processes via the multiprocessing backend and
+Type II program on real OS processes via the socket router backend and
 reports genuine wall-clock on this machine.
 
 Run:  python examples/parallel_speedup.py
@@ -12,7 +12,7 @@ Run:  python examples/parallel_speedup.py
 import time
 
 from repro import ExperimentSpec, run_serial, run_type2
-from repro.parallel.mpi.mp_backend import MpCluster
+from repro.parallel.mpi.backend import make_cluster
 from repro.parallel import type2 as type2_mod
 
 
@@ -29,7 +29,7 @@ def simulated_sweep(spec: ExperimentSpec) -> None:
 
 
 def real_processes(spec: ExperimentSpec, p: int = 4) -> None:
-    print(f"\n== real multiprocessing backend ({p} OS processes) ==")
+    print(f"\n== real socket router backend ({p} OS processes) ==")
     iters = type2_mod.parallel_iterations(spec.iterations, p)
 
     t0 = time.perf_counter()
@@ -37,15 +37,15 @@ def real_processes(spec: ExperimentSpec, p: int = 4) -> None:
     serial_wall = time.perf_counter() - t0
     print(f"serial wall-clock: {serial_wall:.2f} s (µ={serial.best_mu:.3f})")
 
-    cluster = MpCluster(p)
+    cluster = make_cluster("socket", p)
     res = cluster.run(
         type2_mod._spmd,
         kwargs={"spec": spec, "iterations": iters, "pattern": "random"},
     )
     master = res.results[0]
-    print(f"type II wall-clock: {res.wall_seconds:.2f} s with {iters} iterations "
+    print(f"type II wall-clock: {res.makespan:.2f} s with {iters} iterations "
           f"(µ={master['best_mu']:.3f})")
-    print(f"real speed-up vs serial wall: {serial_wall / res.wall_seconds:.2f}x")
+    print(f"real speed-up vs serial wall: {serial_wall / res.makespan:.2f}x")
     print("(each process fully re-evaluates the solution per iteration, as in")
     print(" the paper; wall speed-up is bounded by that duplicated sweep)")
 

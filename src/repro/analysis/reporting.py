@@ -410,13 +410,13 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
     """Speedup-scenario layout: execution backends side by side.
 
     One row per (strategy, p); the sim columns are virtual model-seconds
-    against the sim serial baseline, the mp/socket columns host
+    against the sim serial baseline, each real backend's columns host
     wall-clock against that backend's own serial baseline — the clock
     domains never mix (Tables 2/3 report exactly this wall-clock view
-    for the real cluster).  Columns appear for the backends actually
-    present in the records (always at least sim and mp, so pre-socket
-    artifacts render unchanged); points one backend cannot reach (the
-    socket-only p > 16 ladder) show "-" in the other columns.
+    for the real cluster).  Columns appear for sim plus the backends
+    actually present in the records (older artifacts that carry ``mp``
+    cells keep their mp column); points one backend cannot reach (the
+    socket-only p > 8 ladder) show "-" in the other columns.
     """
     from repro.analysis.speedup import backend_speedup
 
@@ -428,9 +428,7 @@ def render_speedup_records(records: Sequence["RunRecord"], title: str | None = N
         return r.params.get("cluster", "sim")
 
     present = {cluster_of(r) for r in ok}
-    domains = tuple(
-        d for d in ("sim", "mp", "socket") if d in present or d in ("sim", "mp")
-    )
+    domains = ("sim",) + tuple(sorted(present - {"sim"}))
 
     def cell_cols(row: dict, r: "RunRecord" | None, domain: str,
                   base: float | None) -> None:

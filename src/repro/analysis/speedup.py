@@ -9,7 +9,7 @@ run's quality-vs-time history.
 The ``speedup`` scenario compares the two execution backends, and a
 speed-up is only meaningful **within** one clock domain: a virtual
 (model-second) parallel time divides a virtual serial baseline, a
-wall-clock mp time divides the mp serial baseline.
+wall-clock socket time divides the socket serial baseline.
 :func:`backend_speedup` is the None-tolerant ratio the report assembly
 uses — a missing or failed baseline yields ``None``, never a mixed-domain
 number.
@@ -49,7 +49,7 @@ def backend_speedup(
 ) -> float | None:
     """Same-clock-domain speed-up, ``None`` when either side is missing.
 
-    Report assembly helper: one backend of a sim/mp pair may have failed
+    Report assembly helper: one backend of a sim/socket pair may have failed
     or not run (e.g. a sharded sweep), and a table cell built from half a
     pair must render as absent rather than raise or divide clocks from
     different domains.

@@ -6,7 +6,7 @@ record schema).  The checker reconstructs happens-before *offline* —
 nothing rides on the wire, so traced runs stay bit-identical:
 
 1. **Pairing** — point-to-point events pair by the FIFO-per-channel
-   guarantee all three backends share (non-overtaking per
+   guarantee both backends share (non-overtaking per
    ``(src, dst, tag)``): the k-th receive rank ``b`` completes from
    ``(a, tag)`` matches the k-th send ``a → b`` with that tag.  A recv
    whose matched send does not exist in the sender's trace is a **P506**
@@ -20,7 +20,7 @@ nothing rides on the wire, so traced runs stay bit-identical:
    ``a`` races when some *other* send to the same ``(dst, tag)`` channel
    is concurrent with it (neither happens-before the other): arrival
    order, not the protocol, decided the match — the run-to-run
-   bit-identity hazard on the real backends.
+   bit-identity hazard on the real backend.
 5. **P506 — skeleton admission**: every traced event must be one the
    static skeleton of its role can produce (op, tag, label, wildcard
    use) — a trace the model cannot explain means the model or the code

@@ -125,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Type III retry threshold (default ~4%% of budget)")
     p_run.add_argument("--cluster", default="sim", choices=list(CLUSTERS),
                        help="execution backend: deterministic simulated "
-                            "cluster (model-seconds), real OS processes "
-                            "over a pipe mesh (mp, p <= 16) or over the "
-                            "socket router (socket, p up to 256; both "
-                            "wall-clock)")
+                            "cluster (sim, model-seconds) or real OS "
+                            "processes over the socket router (socket, "
+                            "p up to 256, wall-clock)")
     p_run.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="run deadline for the real-process backends "
+                       help="run deadline for the real-process backend "
                             "(default 600s); ignored with --cluster sim")
     p_run.add_argument("--inject-faults", default=None, metavar="SPEC",
                        help="arm a deterministic fault plan on the run, "
@@ -177,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="tiny budgets/circuits (CI); default scenario: smoke")
     p_sweep.add_argument("--cluster", default=None, choices=list(CLUSTERS),
                          help="force every cell onto one cluster backend "
-                              "(sim: deterministic model-seconds; mp/socket: "
+                              "(sim: deterministic model-seconds; socket: "
                               "real processes, wall-clock)")
     p_sweep.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
                          help="run deadline for cells on the real-process "
-                              "backends (default 600s); sim cells are "
+                              "backend (default 600s); sim cells are "
                               "unaffected")
     p_sweep.add_argument("--inject-faults", default=None, metavar="SPEC",
                          help="arm a deterministic fault plan on every "
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--deadline", type=float, default=None,
                           metavar="SECONDS",
                           help="run deadline for cells on the real-process "
-                               "backends (default 600s)")
+                               "backend (default 600s)")
     p_tables.add_argument("--inject-faults", default=None, metavar="SPEC",
                           help="arm a deterministic fault plan on every "
                                "parallel cell")
@@ -406,15 +405,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     if args.cluster != "sim":
         if args.strategy == "profile":
-            print("--cluster mp|socket does not apply to the in-process "
+            print("--cluster socket does not apply to the in-process "
                   "profile pseudo-strategy", file=sys.stderr)
             return 2
         params["cluster"] = args.cluster
         if args.deadline is not None:
             params["deadline"] = args.deadline
     elif args.deadline is not None:
-        print("--deadline applies to the real-process backends "
-              "(--cluster mp|socket)", file=sys.stderr)
+        print("--deadline applies to the real-process backend "
+              "(--cluster socket)", file=sys.stderr)
         return 2
     if args.inject_faults is not None:
         if args.strategy in ("serial", "profile"):
@@ -461,10 +460,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
     else:
         out = record.outcome or {}
-        # The real backends' runtime is wall-clock, not model-seconds.
+        # The real backend's runtime is wall-clock, not model-seconds.
         label = (
             "wall-time"
-            if (out.get("extras") or {}).get("cluster") in ("mp", "socket")
+            if "cluster" in (out.get("extras") or {})
             else "model-time"
         )
         print(f"{record.cell_id}: µ(s)={out.get('best_mu', 0.0):.4f}  "
@@ -488,7 +487,7 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
 
     A convenience front end over the same cells ``repro sweep`` resolves
     — no pool, no cache, artifacts only with ``--out``.  ``--cluster
-    mp|socket`` forces the whole scenario onto a real-process backend.
+    socket`` forces the whole scenario onto the real-process backend.
     """
     try:
         scenario = get_scenario(args.scenario)

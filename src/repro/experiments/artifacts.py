@@ -12,8 +12,8 @@ A sweep produces one :class:`RunRecord` per cell.  The
 Records are **canonical** modulo wall-clock: :meth:`RunRecord.canonical`
 drops the host-dependent ``wall_seconds`` so serial and process-pool runs
 of the same cells compare equal byte-for-byte (the determinism contract
-pinned by the tests).  On the wall-clock backends (``mp``/``socket``)
-*every* clock in the outcome is a host measurement — ``runtime``, the
+pinned by the tests).  On the wall-clock backend (``socket``) *every*
+clock in the outcome is a host measurement — ``runtime``, the
 per-rank clocks, the history timestamps — so canonicalisation strips
 those too; on ``sim`` they are deterministic model-seconds and stay part
 of the determinism key.
@@ -104,11 +104,6 @@ CSV_COLUMNS = (
 )
 
 
-#: Backends whose clocks measure host wall time rather than deterministic
-#: model-seconds; their timing is stripped by :meth:`RunRecord.canonical`.
-_WALL_CLOCK_CLUSTERS = frozenset({"mp", "socket"})
-
-
 #: Identity classification of every :class:`RunRecord` field — the
 #: manifest the K303 lint rule cross-references against the dataclass.
 #: A new field must be added to exactly one of these two tuples (and, if
@@ -186,8 +181,8 @@ class RunRecord:
         """The record minus host-dependent timing — the determinism key.
 
         On the simulated cluster every clock is a model-second and part
-        of the key.  On the real backends (``extras["cluster"]`` of
-        ``mp``/``socket``) ``runtime``, the per-rank clocks and the
+        of the key.  On a real backend (only those paths set
+        ``extras["cluster"]``) ``runtime``, the per-rank clocks and the
         history timestamps are host wall time: two perfectly healthy
         runs of the same cell never agree on them, so they are stripped
         and only the solution, the meter charges (``model_seconds``,
@@ -202,7 +197,7 @@ class RunRecord:
         out = d.get("outcome")
         if out:
             extras = out.get("extras") or {}
-            if extras.get("cluster") in _WALL_CLOCK_CLUSTERS:
+            if "cluster" in extras:
                 out.pop("runtime", None)
                 extras.pop("wall_seconds", None)
                 extras.pop("rank_clocks", None)

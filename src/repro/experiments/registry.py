@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
 from repro.parallel.mpi.backend import CLUSTERS, validate_cluster
-from repro.parallel.mpi.mp_backend import MAX_MESH_SIZE
 from repro.parallel.runners import ExperimentSpec
 
 __all__ = [
@@ -439,11 +438,11 @@ _register(Scenario(
 #: central store, so its axis starts at 4.
 _SPEEDUP_P = (2, 4, 8)
 _SPEEDUP_P_T3 = (4, 8)
-#: Extended ladder on the socket router backend: past the mp backend's
-#: p ≤ 16 pipe-mesh wall, into the cluster-scale regime the paper is
-#: actually about.  Type II only — its traffic is all rank-addressed, so
-#: results stay bit-reproducible run-to-run at any p on a real backend
-#: (Type III's ANY_SOURCE arrival order would not).  The ladder runs on
+#: Extended ladder on the socket router backend: past the paper's 8
+#: nodes, into the cluster-scale regime the paper is actually about.
+#: Type II only — its traffic is all rank-addressed, so results stay
+#: bit-reproducible run-to-run at any p on a real backend (Type III's
+#: ANY_SOURCE arrival order would not).  The ladder runs on
 #: ``synth8000`` (71 placement rows): row decomposition needs at least
 #: one row per rank and the paper circuits top out at 32 rows, so p = 64
 #: is only reachable on the cluster-scale rung.
@@ -461,18 +460,17 @@ _LADDER_ITERS = (4,)
 
 _register(Scenario(
     name="speedup",
-    title="Speedup — sim/mp/socket backends, p up to 64 on the router",
+    title="Speedup — sim/socket backends, p up to 64 on the router",
     description=(
         "The paper's Tables 2/3 speed-up protocol run on every execution "
         "backend: each strategy at p up to the paper's 8 nodes on the "
-        "deterministic simulated cluster (virtual model-seconds), the "
-        "real multiprocessing backend and the socket router backend "
-        "(host wall-clock), with the serial baseline measured the same "
-        "ways; type2/random additionally climbs the router-only ladder "
-        "p ∈ {16, 32, 64} on the synth8000 rung (71 rows — the paper "
-        "circuits cannot row-decompose past p = 32) with its own socket "
-        "serial baseline, past the pipe mesh's p ≤ 16 wall (excluded "
-        "from smoke runs).  The report shows virtual and real speed-ups "
+        "deterministic simulated cluster (virtual model-seconds) and the "
+        "socket router backend (host wall-clock), with the serial "
+        "baseline measured both ways; type2/random additionally climbs "
+        "the router-only ladder p ∈ {16, 32, 64} on the synth8000 rung "
+        "(71 rows — the paper circuits cannot row-decompose past "
+        "p = 32) with its own socket serial baseline (excluded from "
+        "smoke runs).  The report shows virtual and real speed-ups "
         "side by side."
     ),
     objectives=("wirelength", "power"),
@@ -740,18 +738,13 @@ def override_cluster(cells: Iterable[SweepCell], cluster: str) -> list[SweepCell
     with no ``cluster`` param already run on ``sim``, so forcing ``sim``
     leaves them (and their ids/cache keys) alone; a scenario that pins
     several backends per point (``speedup``) collapses to one cell per
-    point — the rewrite never emits duplicate cell ids.  Cells the target
-    backend cannot execute are dropped rather than rewritten into
-    guaranteed failures: forcing ``mp`` drops p > MAX_MESH_SIZE points
-    (the socket ladder), since the pipe mesh rejects them.
+    point — the rewrite never emits duplicate cell ids.
     """
     validate_cluster(cluster)
     out: list[SweepCell] = []
     seen: set[str] = set()
     for cell in cells:
         params = cell.params_dict()
-        if cluster == "mp" and params.get("p", 1) > MAX_MESH_SIZE:
-            continue
         if cell.strategy == "profile" or params.get("cluster", "sim") == cluster:
             if cell.cell_id not in seen:
                 seen.add(cell.cell_id)
@@ -777,10 +770,10 @@ def override_cluster(cells: Iterable[SweepCell], cluster: str) -> list[SweepCell
 def override_deadline(
     cells: Iterable[SweepCell], seconds: float
 ) -> list[SweepCell]:
-    """Set the real backends' run deadline on every cell (``--deadline``).
+    """Set the real backend's run deadline on every cell (``--deadline``).
 
     Adds a ``deadline`` runner parameter to each cell whose effective
-    cluster is a real-process backend (``mp``/``socket``); ``sim`` cells
+    cluster is the real-process backend (``socket``); ``sim`` cells
     and in-process ``profile`` cells pass through untouched — the
     simulated cluster detects deadlock structurally instead of by
     timeout.  The deadline is operational, not part of a cell's physics:

@@ -4,7 +4,7 @@ Three invariant families keep this system honest, none of them
 enforceable by a generic linter:
 
 * **determinism** (D-rules) — results reproduce bit-for-bit from the
-  spec seed across all three cluster backends;
+  spec seed across both cluster backends;
 * **comm-protocol** (C-rules) — every inter-rank byte flows through the
   counted, framed comm layer and every blocking wait is bounded;
 * **cache-identity** (K-rules) — everything that determines a result

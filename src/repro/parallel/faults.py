@@ -24,11 +24,11 @@ Fault kinds
 -----------
 ``kill``
     The victim exits immediately (``os._exit`` with :data:`KILL_EXIT` on
-    the process backends; :class:`InjectedFault` on the simulated
+    the process backend; :class:`InjectedFault` on the simulated
     cluster, whose ranks are threads).
 ``wedge``
     The victim SIGSTOPs itself — the process lives but stops
-    heartbeating, exercising the liveness monitors.  Exception-mode
+    heartbeating, exercising the liveness monitor.  Exception-mode
     backends raise :class:`InjectedFault` instead.
 ``disconnect``
     The victim closes its transport connection without dying — the

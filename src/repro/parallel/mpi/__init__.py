@@ -9,22 +9,17 @@ interchangeable backends:
   discrete-event simulation with per-rank virtual clocks driven by the
   calibrated work model and a fast-ethernet-class network model (the
   backend all reproduction benches use);
-* :class:`~repro.parallel.mpi.mp_backend.MpCluster` — real OS processes
-  over a full pipe mesh for genuine wall-clock parallelism (p ≤ 16);
 * :class:`~repro.parallel.mpi.socket_backend.SocketCluster` — real OS
-  processes over a hub-and-spoke socket router: O(p) descriptors, p in
-  the hundreds on one host, optional TCP addresses for multi-host;
-* :class:`~repro.parallel.mpi.loopback.LoopbackComm` — a size-1
-  communicator so serial runs share the parallel code path.
+  processes over a hub-and-spoke socket router for genuine wall-clock
+  parallelism: O(p) descriptors, p in the hundreds on one host, optional
+  TCP addresses for multi-host.
 """
 
 from repro.parallel.mpi.comm import Communicator, ANY_SOURCE, CommError, DeadlockError
 from repro.parallel.mpi.message import Message
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.mpi.simcluster import SimCluster
-from repro.parallel.mpi.mp_backend import MpCluster
 from repro.parallel.mpi.socket_backend import SocketCluster
-from repro.parallel.mpi.loopback import LoopbackComm
 from repro.parallel.mpi.backend import CLUSTERS, ClusterBackend, make_cluster
 from repro.parallel.mpi.calibration import (
     calibrated_work_model,
@@ -39,9 +34,7 @@ __all__ = [
     "Message",
     "NetworkModel",
     "SimCluster",
-    "MpCluster",
     "SocketCluster",
-    "LoopbackComm",
     "CLUSTERS",
     "ClusterBackend",
     "make_cluster",

@@ -1,14 +1,13 @@
-"""The cluster-backend protocol: one SPMD contract, three executions.
+"""The cluster-backend protocol: one SPMD contract, two executions.
 
 Every parallel strategy is written once against
 :class:`~repro.parallel.mpi.comm.Communicator` and executed through a
 :class:`ClusterBackend` — the deterministic simulated cluster (virtual
-clocks, model-seconds, bit-reproducible), the real multiprocessing
-cluster (OS processes over a pipe mesh, wall-clock, p ≤ 16), or the
-socket router cluster (OS processes over a hub-and-spoke router, O(p)
-fds, p in the hundreds).  :func:`make_cluster` is the single
-construction point the strategy runners, the experiment registry and the
-CLI's ``--cluster sim|mp|socket`` flag all share.
+clocks, model-seconds, bit-reproducible) or the socket router cluster
+(real OS processes over a hub-and-spoke router, wall-clock, O(p) fds,
+p in the hundreds).  :func:`make_cluster` is the single construction
+point the strategy runners, the experiment registry and the CLI's
+``--cluster sim|socket`` flag all share.
 
 The contract:
 
@@ -39,7 +38,7 @@ from repro.parallel.mpi.calibration import (
     calibrated_network_model,
     calibrated_work_model,
 )
-from repro.parallel.mpi.mp_backend import MpCluster
+from repro.parallel.mpi.mp_backend import DEFAULT_TIMEOUT
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.mpi.simcluster import SimCluster
 from repro.parallel.mpi.socket_backend import SocketCluster
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 #: Registered backend names, in preference order.
-CLUSTERS = ("sim", "mp", "socket")
+CLUSTERS = ("sim", "socket")
 
 
 def validate_cluster(kind: str) -> str:
@@ -112,22 +111,22 @@ def make_cluster(
 ) -> ClusterBackend:
     """Build a ``p``-rank cluster backend by name.
 
-    ``network`` applies to the simulated backend only (the real backends'
+    ``network`` applies to the simulated backend only (the real backend's
     communication costs are real); ``work_model`` defaults to the
-    calibrated model on all three, so the real backends' meters report
-    comparable model-seconds.  ``timeout`` overrides the real backends'
+    calibrated model on both, so the real backend's meters report
+    comparable model-seconds.  ``timeout`` overrides the real backend's
     run deadline (ignored by the simulated backend, which detects
     deadlock structurally instead); the CLI exposes it as ``--deadline``.
 
     ``faults`` is a :class:`~repro.parallel.faults.FaultPlan` armed on
-    every rank (all three backends).  ``on_rank_failure`` selects the
-    real backends' response to a mid-run rank loss: ``"abort"`` (default,
+    every rank (both backends).  ``on_rank_failure`` selects the
+    real backend's response to a mid-run rank loss: ``"abort"`` (default,
     raise :class:`CommError`) or ``"degrade"`` (continue with the
     survivors and report the losses on the run result) — the simulated
     backend has no partial-death mode and ignores it.
 
     ``trace_dir`` arms a :class:`~repro.parallel.trace.CommTraceRecorder`
-    on every rank (all three backends) and writes one canonical
+    on every rank (both backends) and writes one canonical
     event-trace file per rank into the directory; recording is purely
     local (no payload, ordering or RNG effect), so traced runs are
     bit-identical to untraced ones.  ``repro commcheck --trace`` replays
@@ -142,14 +141,11 @@ def make_cluster(
             faults=faults,
             trace_dir=trace_dir,
         )
-    real_kwargs: dict[str, Any] = {
-        "work_model": work_model or calibrated_work_model(),
-        "faults": faults,
-        "on_rank_failure": on_rank_failure,
-        "trace_dir": trace_dir,
-    }
-    if timeout is not None:
-        real_kwargs["timeout"] = timeout
-    if kind == "socket":
-        return SocketCluster(p, **real_kwargs)
-    return MpCluster(p, **real_kwargs)
+    return SocketCluster(
+        p,
+        work_model=work_model or calibrated_work_model(),
+        timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
+        faults=faults,
+        on_rank_failure=on_rank_failure,
+        trace_dir=trace_dir,
+    )

@@ -31,16 +31,16 @@ Neither knob affects *which* solutions are produced — only the reported
 model-seconds.  All reproduction claims are ratio/trend claims, which are
 invariant to a uniform rescaling of either model.
 
-Host calibration (mp backend)
------------------------------
+Host calibration (socket backend)
+---------------------------------
 The real-process backend measures wall-clock, and a host's wall time per
 work unit differs from the paper's Pentium 4 by a machine-dependent
 factor.  :func:`fit_work_model` recovers that factor by least squares —
 it scales the paper-calibrated coefficients uniformly so model-seconds
 track *measured* wall times — and :func:`calibrate_to_host` collects the
 measurements by running serial SimE cells through a one-rank
-:class:`~repro.parallel.mpi.mp_backend.MpCluster` (real process, real
-clock) via :func:`measure_mp_samples`.  The uniform-scale fit is
+:class:`~repro.parallel.mpi.socket_backend.SocketCluster` (real process,
+real clock) via :func:`measure_host_samples`.  The uniform-scale fit is
 deliberate: per-category coefficients are the paper's gprof shares, a
 property of the algorithm, and refitting them per host would let
 interpreter noise rewrite the Section 4 profile.
@@ -60,7 +60,7 @@ __all__ = [
     "PAPER_SERIAL_SECONDS_PER_ITER",
     "WallClockFit",
     "fit_work_model",
-    "measure_mp_samples",
+    "measure_host_samples",
     "calibrate_to_host",
 ]
 
@@ -147,7 +147,7 @@ def fit_work_model(
     return fitted, WallClockFit(scale=scale, r_squared=r2, n_samples=len(pairs))
 
 
-def measure_mp_samples(
+def measure_host_samples(
     circuit: str = "s1196",
     budgets: Sequence[int] = (4, 8),
     seed: int = 1,
@@ -156,14 +156,14 @@ def measure_mp_samples(
     """Measured ``(unit_counts, wall_seconds)`` pairs for the host.
 
     Each budget runs one serial SimE cell through a one-rank
-    :class:`~repro.parallel.mpi.mp_backend.MpCluster` — a real child
-    process, so the measured clock is exactly what the mp backend's
-    parallel runs experience.  Wall time is the rank's in-child elapsed
-    (process spawn excluded: spawn cost is overhead of the backend, not
-    of the modelled work).
+    :class:`~repro.parallel.mpi.socket_backend.SocketCluster` — a real
+    child process, so the measured clock is exactly what the socket
+    backend's parallel runs experience.  Wall time is the rank's
+    in-child elapsed (process spawn excluded: spawn cost is overhead of
+    the backend, not of the modelled work).
     """
     # Deferred: runners imports this module for the default models.
-    from repro.parallel.mpi.mp_backend import MpCluster
+    from repro.parallel.mpi.socket_backend import SocketCluster
     from repro.parallel.runners import ExperimentSpec, serial_spmd
 
     samples: list[tuple[dict[str, float], float]] = []
@@ -176,7 +176,7 @@ def measure_mp_samples(
             iterations=iterations,
             seed=seed,
         )
-        res = MpCluster(1, work_model=calibrated_work_model()).run(
+        res = SocketCluster(1, work_model=calibrated_work_model()).run(
             serial_spmd, kwargs={"spec": spec}
         )
         samples.append((res.meters[0].snapshot(), res.clocks[0]))
@@ -188,5 +188,5 @@ def calibrate_to_host(
     budgets: Sequence[int] = (4, 8),
     seed: int = 1,
 ) -> tuple[WorkModel, WallClockFit]:
-    """Measure this host through the mp backend and fit a work model."""
-    return fit_work_model(measure_mp_samples(circuit, budgets, seed))
+    """Measure this host through the socket backend and fit a work model."""
+    return fit_work_model(measure_host_samples(circuit, budgets, seed))

@@ -1,8 +1,8 @@
 """Abstract communicator interface (mpi4py-style, lower-case semantics).
 
 SPMD programs in this library are written against this interface and run
-unchanged on any backend: the deterministic simulated cluster, the real
-multiprocessing backend, or the size-1 loopback.  The API mirrors the
+unchanged on either backend: the deterministic simulated cluster or the
+real-process socket router.  The API mirrors the
 pickle-based (lower-case) half of mpi4py:
 
 * ``send(obj, dest, tag)`` — buffered-eager send: returns once the message
@@ -100,7 +100,7 @@ class Communicator(abc.ABC):
     def progress(self) -> None:
         """Optional progress hint: publish this rank's current clock.
 
-        A no-op on real backends; on the simulated cluster it lets a rank
+        A no-op on the real backend; on the simulated cluster it lets a rank
         in a long compute stretch update its virtual clock so other ranks'
         conservative delivery decisions can proceed sooner.
         """

@@ -1,11 +1,12 @@
-"""Shared semantics of the real-transport communicators.
+"""Protocol semantics of the real-transport communicator.
 
-``_MpComm`` (pipe mesh) and ``_SocketComm`` (hub-and-spoke router) must
-behave identically at the protocol level — tag matching, ANY_SOURCE over
-a mix of live and finished peers, out-of-order stashing, dead-peer
-errors, root-sequenced collectives — or strategies would silently produce
-different results depending on ``--cluster``.  This base class owns every
-one of those decisions; the transports supply exactly two hooks:
+A transport endpoint (``_SocketComm``, over the hub-and-spoke router)
+must match the simulated cluster at the protocol level — tag matching,
+ANY_SOURCE over a mix of live and finished peers, out-of-order stashing,
+dead-peer errors, root-sequenced collectives — or strategies would
+silently produce different results depending on ``--cluster``.  This
+base class owns every one of those decisions, apart from the wire; a
+transport supplies exactly two hooks:
 
 * :meth:`_transmit` — hand ``(obj, dest, tag)`` to the transport
   (buffered-eager: it must not rendezvous with the receiver), raising
@@ -25,7 +26,7 @@ matched later — interleaving is legal on every backend.
 The simulated cluster does **not** share this class: its delivery is
 globally ordered by virtual time and implemented in the cluster, not the
 endpoint.  The conformance suite (``tests/parallel/
-test_backend_conformance.py``) is what holds all three to one contract.
+test_backend_conformance.py``) is what holds both to one contract.
 """
 
 from __future__ import annotations

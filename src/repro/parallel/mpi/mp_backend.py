@@ -1,100 +1,33 @@
-"""Real multiprocessing backend: OS processes over pipes.
+"""Shared pieces of the real-process backend.
 
-The simulated cluster answers the paper's *model* questions; this backend
-runs the same SPMD strategy code on genuine OS processes — the execution
-path behind ``--cluster mp`` and the wall-clock half of the ``speedup``
-scenario.  Differences from :class:`SimCluster`:
-
-* ``elapsed()`` is wall-clock (``time.perf_counter`` since rank start);
-* there are no virtual clocks: the work meter still counts units (priced
-  by ``work_model`` into model-seconds for the calibration fit) but does
-  not drive time;
-* ANY_SOURCE receives use :func:`multiprocessing.connection.wait`, so
-  their order reflects real arrival order — *not* deterministic.  Results
-  that depend on message arrival order (Type III) will vary run to run,
-  exactly as they did on the paper's real cluster.
-
-Topology: a full mesh of duplex pipes.  The mesh is O(p²) in file
-descriptors, which bounds the backend at ``size <= MAX_MESH_SIZE`` (16) —
-construction validates the bound up front instead of failing with an
-opaque OS error mid-mesh.  Collectives are root-sequenced over the mesh:
-simple, correct, and fine for the message sizes involved (a few KB per
-iteration).
-
-Liveness
---------
-A rank that dies before shipping its result (OOM kill, ``os._exit``,
-uncaught SIGKILL) must never hang the parent.  Three mechanisms ensure
-it:
-
-* after every child has started, the parent closes its own copies of all
-  mesh and result pipe ends (and, under ``fork``, each child closes the
-  ends it inherited but does not own) — a dead rank therefore produces a
-  genuine EOF at its peers and at the parent;
-* the parent collects results with :func:`multiprocessing.connection.wait`
-  under a run deadline (``timeout``); an EOF on a result pipe is reported
-  as "rank N died without result", surviving ranks are terminated, and
-  :class:`CommError` is raised;
-* inside a rank, an EOF from a dead peer surfaces as :class:`CommError`
-  (an ANY_SOURCE receive simply drops the dead peer from its wait set
-  while live peers remain).
-
-Start method: ``fork`` where it is safe and available (Linux), ``spawn``
-otherwise (Windows has no fork; macOS forks unsafely by default).  The
-SPMD function and its arguments must be picklable either way
-(module-level functions; specs are plain dataclasses).
+:class:`~repro.parallel.mpi.socket_backend.SocketCluster` runs the SPMD
+strategy code on genuine OS processes; this module holds what it shares
+with its callers: the start-method choice, the default run deadline, the
+accepted rank-failure policies and the run-result type.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import sys
-import threading
-import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any
 
-from repro.cost.workmeter import WorkMeter, WorkModel
-from repro.parallel.mpi.comm import ANY_SOURCE, CommError
-from repro.parallel.mpi.commbase import BufferedComm
-from repro.parallel.mpi.liveness import (
-    DEFAULT_HEARTBEAT,
-    LivenessMonitor,
-    default_heartbeat_timeout,
-)
+from repro.cost.workmeter import WorkMeter
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ← comm)
-    from repro.parallel.faults import FaultPlan
+__all__ = [
+    "DEFAULT_TIMEOUT",
+    "MpRunResult",
+    "RANK_FAILURE_POLICIES",
+    "pick_start_method",
+]
 
-__all__ = ["MpCluster", "MpRunResult", "MAX_MESH_SIZE", "pick_start_method"]
-
-#: Sentinel shipped over the result pipe by each rank's heartbeat thread.
-#: A one-element tuple can never collide with the 4-tuple status payload.
-_HEARTBEAT = ("__mp_heartbeat__",)
-
-#: Accepted ``on_rank_failure`` policies (shared with the socket backend).
+#: Accepted ``on_rank_failure`` policies.
 RANK_FAILURE_POLICIES = ("abort", "degrade")
-
-#: Largest supported rank count: the full mesh needs p·(p−1)/2 duplex
-#: pipes (two fds each) plus a result pipe per rank, so beyond ~16 ranks
-#: construction starts brushing against default fd limits.
-MAX_MESH_SIZE = 16
 
 #: Default run deadline (seconds): generous for real workloads, finite so
 #: a hung backend can never stall a caller (CI enforces a tighter one).
 DEFAULT_TIMEOUT = 600.0
-
-#: Parent poll interval while waiting on result pipes.
-_POLL_SECONDS = 0.2
-
-#: Grace for ``join()`` on a process already observed dead (EOF seen on
-#: its result pipe) — reaping bookkeeping, not a liveness decision.
-_REAP_JOIN_SECONDS = 1.0
-
-#: SIGTERM grace before escalating to SIGKILL during cleanup; short
-#: because a SIGSTOPped rank leaves SIGTERM pending forever.
-_TERM_GRACE_SECONDS = 5.0
 
 
 def pick_start_method() -> str:
@@ -102,7 +35,9 @@ def pick_start_method() -> str:
 
     macOS can fork but CoreFoundation makes it unsafe-by-default (Python
     3.8+ defaults the platform to spawn for the same reason); Windows has
-    no fork at all.
+    no fork at all.  The SPMD function and its arguments must be
+    picklable either way (module-level functions; specs are plain
+    dataclasses).
     """
     if sys.platform != "darwin" and "fork" in mp.get_all_start_methods():
         return "fork"
@@ -111,7 +46,7 @@ def pick_start_method() -> str:
 
 @dataclass
 class MpRunResult:
-    """Outcome of one multiprocessing SPMD run.
+    """Outcome of one real-process SPMD run.
 
     ``wall_seconds`` is the parent-observed span (includes process spawn);
     ``clocks`` are the per-rank in-child elapsed times; ``meters`` carry
@@ -130,422 +65,5 @@ class MpRunResult:
 
     @property
     def makespan(self) -> float:
-        """Wall-clock of the whole run (the mp analogue of the sim makespan)."""
+        """Wall-clock of the whole run (the analogue of the sim makespan)."""
         return self.wall_seconds
-
-
-class _MpComm(BufferedComm):
-    """Per-process endpoint over the pipe mesh.
-
-    Protocol semantics (stash, tag matching, ANY_SOURCE, collectives)
-    live in :class:`BufferedComm`; this class binds them to the mesh:
-    ``_transmit`` writes to the peer's duplex pipe and ``_pump`` reads —
-    targeted from one pipe, ANY_SOURCE via ``connection.wait`` over every
-    live peer (dropping a peer from the wait set on EOF).
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        pipes: dict[int, Connection],
-        work_model: WorkModel | None = None,
-    ):
-        super().__init__(rank, size, work_model)
-        self._pipes = pipes  # peer rank -> connection
-
-    def _transmit(self, obj: Any, dest: int, tag: int) -> None:
-        try:
-            self._pipes[dest].send((self._rank, tag, obj))  # repro: noqa[C201] -- _transmit IS the mesh transport hook under BufferedComm; counting/faults wrap above it
-        except (BrokenPipeError, OSError) as exc:
-            self._dead.add(dest)
-            raise CommError(
-                f"rank {self._rank}: send to rank {dest} failed — peer died "
-                f"({exc})"
-            ) from None
-
-    def _recv_from(self, source: int) -> tuple[int, int, Any]:
-        """One blocking pipe read from ``source``; EOF becomes CommError."""
-        try:
-            return self._pipes[source].recv()  # repro: noqa[C202] -- externally bounded: a dead peer raises EOFError and the parent's liveness monitor kills wedged peers
-        except EOFError:
-            self._dead.add(source)
-            raise CommError(
-                f"rank {self._rank}: rank {source} died (EOF on pipe) "
-                "before sending"
-            ) from None
-
-    def _pump(self, source: int, tag: int) -> None:
-        if source == ANY_SOURCE:
-            alive = {
-                peer: conn
-                for peer, conn in self._pipes.items()
-                if peer not in self._dead
-            }
-            if not alive:
-                raise CommError(
-                    f"rank {self._rank}: recv(ANY_SOURCE, tag={tag}) "
-                    "with no live peers and no matching stashed message"
-                )
-            for conn in wait(list(alive.values())):  # repro: noqa[C202] -- EOF from a dying peer wakes this wait; wedged peers are killed by the parent's monitor, bounding it externally
-                peer = next(p for p, c in alive.items() if c is conn)
-                try:
-                    self._stash.append(conn.recv())  # repro: noqa[C202] -- conn was returned ready by wait(); this recv cannot block
-                except EOFError:
-                    # The peer exited; anything it sent was already
-                    # drained (pipes deliver buffered data before
-                    # EOF).  Drop it from the wait set and keep
-                    # listening to the survivors.
-                    self._dead.add(peer)
-        else:
-            if source in self._dead:
-                raise CommError(
-                    f"rank {self._rank}: rank {source} died before "
-                    f"sending tag={tag}"
-                )
-            self._stash.append(self._recv_from(source))
-
-
-def _worker(
-    rank: int,
-    size: int,
-    conns: dict[int, Connection],
-    extra_close: Sequence[Connection],
-    work_model: WorkModel | None,
-    fn: Callable[..., Any],
-    args: tuple,
-    kwargs: dict,
-    result_conn: Connection,
-    heartbeat: float = DEFAULT_HEARTBEAT,
-) -> None:
-    # Under fork this child inherited *every* pipe end the parent had
-    # open; close the ones it does not own so a peer's death can reach
-    # the remaining readers as EOF (under spawn the list is empty).
-    for conn in extra_close:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - double close is harmless
-            pass
-    comm = _MpComm(rank, size, conns, work_model)
-    # Heartbeats ride the result pipe from a daemon thread; the lock
-    # keeps sentinel and status writes whole.  A wedged (SIGSTOPped)
-    # rank freezes this thread too — which is exactly the signal: its
-    # silence is what the parent's LivenessMonitor detects.
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def _beat() -> None:
-        while not stop.wait(heartbeat):
-            with send_lock:
-                if stop.is_set():
-                    return
-                try:
-                    result_conn.send(_HEARTBEAT)  # repro: noqa[C201] -- rank-to-parent control plane (liveness beat), not inter-rank data; never counted as a comm op
-                except (BrokenPipeError, OSError):
-                    return  # parent gone; the main thread will notice too
-
-    threading.Thread(
-        target=_beat, name=f"mprank-{rank}-heartbeat", daemon=True
-    ).start()
-    try:
-        result = fn(comm, *args, **kwargs)
-        status = ("ok", result, comm.elapsed(), comm.meter.snapshot())
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        status = ("error", repr(exc), comm.elapsed(), comm.meter.snapshot())
-    stop.set()
-    with send_lock:
-        try:
-            result_conn.send(status)  # repro: noqa[C201] -- rank-to-parent control plane (final status), not inter-rank data; never counted as a comm op
-        except (BrokenPipeError, OSError, TypeError, ValueError):
-            # Unpicklable result or a parent already gone: exiting without
-            # a status surfaces at the parent as "died without result".
-            pass
-        finally:
-            result_conn.close()
-
-
-class MpCluster:
-    """Real-process SPMD execution (see module docstring).
-
-    Parameters
-    ----------
-    size:
-        Number of ranks, ``1 <= size <= MAX_MESH_SIZE``.
-    work_model:
-        Seconds-per-unit model for each rank's work meter (profiling and
-        the wall-clock calibration fit; does not affect execution).
-    timeout:
-        Run deadline in seconds (``None`` disables it).  On expiry the
-        surviving ranks are terminated and :class:`CommError` is raised.
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"`` override; defaults to
-        :func:`pick_start_method`.
-    heartbeat:
-        Per-rank heartbeat send interval in seconds (sentinels over the
-        result pipe from a daemon thread).
-    heartbeat_timeout:
-        Silence threshold after which a rank counts as wedged; defaults
-        to ``max(30, 10 × heartbeat)`` (see
-        :func:`~repro.parallel.mpi.liveness.default_heartbeat_timeout`).
-    faults:
-        Optional :class:`~repro.parallel.faults.FaultPlan` armed on
-        every rank in process mode (kills really ``_exit``, wedges
-        really SIGSTOP).
-    on_rank_failure:
-        ``"abort"`` (default): any mid-run rank loss terminates the
-        survivors and raises :class:`CommError` — bit-identical to the
-        pre-fault-tolerance behavior.  ``"degrade"``: the loss is
-        recorded on ``MpRunResult.lost`` and the run continues with the
-        survivors (strategies decide what a partial result means).
-    trace_dir:
-        Optional directory for per-rank comm-event traces
-        (:class:`~repro.parallel.trace.CommTraceRecorder`); recording is
-        local-only, so traced runs stay bit-identical.
-    """
-
-    #: Clock domain reported by ``elapsed()``/results (vs ``"model"``).
-    clock = "wall"
-
-    def __init__(
-        self,
-        size: int,
-        work_model: WorkModel | None = None,
-        timeout: float | None = DEFAULT_TIMEOUT,
-        start_method: str | None = None,
-        heartbeat: float = DEFAULT_HEARTBEAT,
-        heartbeat_timeout: float | None = None,
-        faults: "FaultPlan | None" = None,
-        on_rank_failure: str = "abort",
-        trace_dir: str | None = None,
-    ):
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        if size > MAX_MESH_SIZE:
-            raise ValueError(
-                f"size {size} exceeds the supported mesh range (p <= "
-                f"{MAX_MESH_SIZE}): the full pipe mesh needs "
-                f"{size * (size - 1)} one-way ends plus a result pipe per "
-                "rank, which exhausts OS file descriptors; use the socket "
-                "backend (--cluster socket) for larger p"
-            )
-        if on_rank_failure not in RANK_FAILURE_POLICIES:
-            raise ValueError(
-                f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-                f"got {on_rank_failure!r}"
-            )
-        self.size = size
-        self.work_model = work_model
-        self.timeout = timeout
-        self.start_method = start_method or pick_start_method()
-        self.heartbeat = heartbeat
-        self.heartbeat_timeout = (
-            heartbeat_timeout
-            if heartbeat_timeout is not None
-            else default_heartbeat_timeout(heartbeat)
-        )
-        self.faults = faults
-        self.on_rank_failure = on_rank_failure
-        self.trace_dir = trace_dir
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        args: Sequence[Any] = (),
-        kwargs: dict[str, Any] | None = None,
-        per_rank_kwargs: Sequence[dict[str, Any]] | None = None,
-    ) -> MpRunResult:
-        """Execute ``fn(comm, *args, **kwargs, **per_rank_kwargs[rank])``.
-
-        Raises :class:`CommError` if any rank fails — with its repr'd
-        exception when the rank shipped one, or "died without result"
-        when it vanished — after all processes have been reaped.  A run
-        that outlives ``timeout`` is terminated and raises
-        :class:`CommError` too: a dead or hung rank can never block the
-        parent forever.
-        """
-        if per_rank_kwargs is not None and len(per_rank_kwargs) != self.size:
-            raise ValueError("per_rank_kwargs must have one entry per rank")
-        if self.faults is not None:
-            from repro.parallel.faults import FaultedFn
-
-            fn = FaultedFn(fn, self.faults.resolve(self.size), mode="process")
-        if self.trace_dir is not None:
-            from repro.parallel.trace import TracedFn
-
-            fn = TracedFn(fn, self.trace_dir)
-        ctx = mp.get_context(self.start_method)
-        # Full mesh of duplex pipes.
-        mesh: dict[tuple[int, int], Connection] = {}
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                ca, cb = ctx.Pipe(duplex=True)
-                mesh[(a, b)] = ca
-                mesh[(b, a)] = cb
-        result_pipes = [ctx.Pipe(duplex=False) for _ in range(self.size)]
-
-        t0 = time.perf_counter()
-        procs: list[Any] = []
-        for rank in range(self.size):
-            conns = {
-                peer: mesh[(rank, peer)] for peer in range(self.size) if peer != rank
-            }
-            if self.start_method == "fork":
-                # Everything this child inherits but does not own.
-                extra_close = [
-                    c for (owner, _peer), c in mesh.items() if owner != rank
-                ] + [
-                    end
-                    for r, (recv_end, send_end) in enumerate(result_pipes)
-                    for end in ((recv_end,) if r == rank else (recv_end, send_end))
-                ]
-            else:
-                extra_close = []
-            kw = dict(kwargs or {})
-            if per_rank_kwargs is not None:
-                kw.update(per_rank_kwargs[rank])
-            proc = ctx.Process(
-                target=_worker,
-                args=(
-                    rank,
-                    self.size,
-                    conns,
-                    extra_close,
-                    self.work_model,
-                    fn,
-                    tuple(args),
-                    kw,
-                    result_pipes[rank][1],
-                    self.heartbeat,
-                ),
-                name=f"mprank-{rank}",
-            )
-            proc.start()
-            procs.append(proc)
-
-        # The parent's copies of every child-held pipe end must close so
-        # a dead rank's pipes actually hit EOF at their remaining readers
-        # (with them open, a killed rank would hang everyone forever).
-        for conn in mesh.values():
-            conn.close()
-        for _recv_end, send_end in result_pipes:
-            send_end.close()
-
-        deadline = None if self.timeout is None else t0 + self.timeout
-        statuses: list[tuple[str, Any, float, dict] | None] = [None] * self.size
-        pending: dict[int, Connection] = {
-            rank: result_pipes[rank][0] for rank in range(self.size)
-        }
-        deaths: list[int] = []
-        lost: dict[int, str] = {}
-        monitor = LivenessMonitor(self.heartbeat_timeout)
-        for rank in range(self.size):
-            monitor.register(rank, t0)
-        try:
-            while pending:
-                now = time.perf_counter()
-                if deadline is not None and now >= deadline:
-                    raise CommError(
-                        f"mp run exceeded its {self.timeout:.0f}s deadline; "
-                        f"still waiting for ranks {sorted(pending)}"
-                    )
-                stale = [r for r in monitor.stale(now) if r in pending]
-                if stale:
-                    if self.on_rank_failure == "degrade":
-                        for r in stale:
-                            # SIGKILL works on a SIGSTOPped process where
-                            # SIGTERM would stay pending forever.
-                            if procs[r].is_alive():
-                                procs[r].kill()
-                                procs[r].join()
-                            monitor.forget(r)
-                            pending.pop(r).close()
-                            lost[r] = (
-                                f"rank {r} went silent: no heartbeat for "
-                                f"{self.heartbeat_timeout:.1f}s "
-                                "(wedged or stopped)"
-                            )
-                        continue
-                    raise monitor.silence_error(stale)
-                poll = _POLL_SECONDS
-                if deadline is not None:
-                    poll = min(poll, max(0.0, deadline - now))
-                for conn in wait(list(pending.values()), timeout=poll):
-                    rank = next(r for r, c in pending.items() if c is conn)
-                    try:
-                        obj = conn.recv()  # repro: noqa[C202] -- conn was returned ready by wait(timeout=poll); this recv cannot block
-                    except EOFError:
-                        if self.on_rank_failure == "degrade":
-                            procs[rank].join(timeout=_REAP_JOIN_SECONDS)
-                            lost[rank] = (
-                                f"rank {rank} died without result "
-                                f"(exitcode {procs[rank].exitcode})"
-                            )
-                            monitor.forget(rank)
-                        else:
-                            deaths.append(rank)
-                        del pending[rank]
-                        continue
-                    if obj == _HEARTBEAT:
-                        monitor.beat(rank)
-                        continue
-                    statuses[rank] = obj
-                    monitor.forget(rank)
-                    del pending[rank]
-                if deaths:
-                    for r in deaths:
-                        procs[r].join(timeout=_REAP_JOIN_SECONDS)
-                    codes = {r: procs[r].exitcode for r in deaths}
-                    raise CommError(
-                        "rank(s) died without result: "
-                        + ", ".join(
-                            f"rank {r} (exitcode {codes[r]})" for r in deaths
-                        )
-                    )
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    # Survivors of a death/timeout would block on the dead
-                    # rank (or on the deadline) forever — reap them now.
-                    if pending or deaths:
-                        proc.terminate()
-                    # Short grace: a SIGSTOPped rank leaves SIGTERM
-                    # pending forever, so escalate to SIGKILL (which
-                    # stops nothing) quickly instead of stalling the
-                    # error path.
-                    proc.join(timeout=_TERM_GRACE_SECONDS)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-            for recv_end, _send_end in result_pipes:
-                try:
-                    recv_end.close()
-                except OSError:  # pragma: no cover - degrade pre-closed it
-                    pass
-        wall = time.perf_counter() - t0
-
-        failures = [
-            (r, msg)
-            for r, st in enumerate(statuses)
-            if st is not None and st[0] == "error"
-            for msg in (st[1],)
-        ]
-        if failures:
-            raise CommError(f"rank failures: {failures}")
-        if len(lost) == self.size:
-            raise CommError(f"all ranks lost: {lost}")
-        assert all(
-            st is not None for r, st in enumerate(statuses) if r not in lost
-        )
-        meters = []
-        for st in statuses:
-            meter = WorkMeter(self.work_model)
-            if st is not None:
-                meter.units.update(st[3])
-            meters.append(meter)
-        return MpRunResult(
-            results=[None if st is None else st[1] for st in statuses],
-            wall_seconds=wall,
-            clocks=[0.0 if st is None else float(st[2]) for st in statuses],
-            meters=meters,
-            lost=lost,
-        )

@@ -1,24 +1,28 @@
-"""Socket router backend: O(p) file descriptors, p in the hundreds.
+"""Socket router backend: the real-process cluster, O(p) file descriptors.
 
-``MpCluster``'s full pipe mesh costs O(p²) descriptors and is hard-capped
-at 16 ranks; the paper's own story — cluster-scale speedup of the
-simulated-evolution placer — starts beyond that.  This backend replaces
-the mesh with a **hub-and-spoke router**: the parent owns one listening
-socket, every rank holds exactly one connection to it, and all
-point-to-point traffic is forwarded through the hub as length-prefixed
-frames (:mod:`repro.parallel.mpi.message`).  Total descriptor budget is
-``p + 1`` at the router and one per rank — p = 64 on one host is routine
-and p in the hundreds fits inside default fd limits.
+The simulated cluster answers the paper's *model* questions; this backend
+runs the same SPMD strategy code on genuine OS processes — the execution
+path behind ``--cluster socket`` and the wall-clock half of the
+``speedup`` scenario.  Differences from
+:class:`~repro.parallel.mpi.simcluster.SimCluster`:
 
-Protocol semantics are *identical* to the mp backend: both communicators
-derive from :class:`~repro.parallel.mpi.commbase.BufferedComm`, so tag
-matching, ANY_SOURCE behavior over dead peers, out-of-order stashing, and
-root-sequenced collectives are shared code, and the conformance suite
-(``tests/parallel/test_backend_conformance.py``) pins all three backends
-to one contract.
+* ``elapsed()`` is wall-clock (``time.perf_counter`` since rank start);
+* there are no virtual clocks: the work meter still counts units (priced
+  by ``work_model`` into model-seconds for the calibration fit) but does
+  not drive time;
+* ANY_SOURCE order reflects real arrival order — Type III results vary
+  run to run, exactly as they did on the paper's real cluster, while
+  rank-addressed strategies (Type I/II) are bit-identical at any p.
 
 Topology & framing
 ------------------
+A **hub-and-spoke router**: the parent owns one listening socket, every
+rank holds exactly one connection to it, and all point-to-point traffic
+is forwarded through the hub as length-prefixed frames
+(:mod:`repro.parallel.mpi.message`).  Total descriptor budget is
+``p + 1`` at the router and one per rank — p = 64 on one host is routine
+and p in the hundreds fits inside default fd limits.
+
 By default the router listens on an ``AF_UNIX`` socket in a private
 temporary directory (lowest latency, no port allocation); pass
 ``address=(host, port)`` for ``AF_INET`` — the hook for multi-host fan-out
@@ -26,31 +30,30 @@ later (``port=0`` picks a free port).  Each frame is a fixed 17-byte
 header (kind, source, dest, tag, payload length) plus the pickled object;
 the router forwards DATA frames to ``dest`` without unpickling them.
 
+Protocol semantics (tag matching, ANY_SOURCE behavior over dead peers,
+out-of-order stashing, root-sequenced collectives) live in
+:class:`~repro.parallel.mpi.commbase.BufferedComm`, and the conformance
+suite (``tests/parallel/test_backend_conformance.py``) pins this backend
+and the simulated one to one contract.
+
 Liveness: PEERDOWN, heartbeats, deadline
 ----------------------------------------
-Pipes gave the mp backend EOF-based death detection for free; a routed
-star must *tell* ranks about departures:
+A routed star must *tell* ranks about departures:
 
 * when a rank ships its RESULT (clean finish) the router broadcasts a
   PEERDOWN frame for it — peers drop it from ANY_SOURCE wait sets and a
-  targeted receive from it raises :class:`CommError`, exactly like an EOF
-  on a pipe.  Because each rank's frames arrive on one ordered stream,
-  everything it sent is forwarded *before* its PEERDOWN — no message loss
-  on a clean exit;
+  targeted receive from it raises :class:`CommError`.  Because each
+  rank's frames arrive on one ordered stream, everything it sent is
+  forwarded *before* its PEERDOWN — no message loss on a clean exit;
 * an EOF on a rank's connection before its RESULT (SIGKILL, OOM,
   ``os._exit``) makes the router terminate the survivors and raise
-  ``CommError("rank(s) died without result: ...")`` — the same contract
-  as the mp parent;
+  ``CommError("rank(s) died without result: ...")``;
 * every rank runs a daemon heartbeat thread; a rank that is alive but
-  wedged (SIGSTOP, native-code hang) stops heartbeating, and the router
-  raises :class:`CommError` once its silence exceeds
-  ``heartbeat_timeout`` — pipes cannot detect this case at all;
+  wedged (SIGSTOP, native-code hang) stops heartbeating, and the router's
+  :class:`LivenessMonitor` raises :class:`CommError` once its silence
+  exceeds ``heartbeat_timeout``;
 * the whole run sits under a configurable ``timeout`` deadline (CLI:
   ``--deadline``), so no failure mode can stall a caller forever.
-
-As with the mp backend, ``elapsed()`` is wall-clock and ANY_SOURCE order
-reflects real arrival order — Type III results vary run to run, while
-rank-addressed strategies (Type I/II) are bit-identical at any p.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ from repro.parallel.mpi.message import (
     pack_frame,
     recv_frame,
     send_frame,
-)
-from repro.parallel.mpi.liveness import (
-    DEFAULT_HEARTBEAT,
-    LivenessMonitor,
-    default_heartbeat_timeout,
 )
 from repro.parallel.mpi.mp_backend import (
     DEFAULT_TIMEOUT,
@@ -114,6 +112,52 @@ _REAP_JOIN_SECONDS = 1.0
 #: SIGTERM grace before escalating to SIGKILL during cleanup; short
 #: because a SIGSTOPped rank leaves SIGTERM pending forever.
 _TERM_GRACE_SECONDS = 5.0
+
+#: Default heartbeat send interval (seconds) inside each rank.
+DEFAULT_HEARTBEAT = 2.0
+
+
+class LivenessMonitor:
+    """Tracks when each rank was last seen; flags the ones gone silent.
+
+    EOF tells the router that a rank *died*; nothing tells it that a rank
+    is alive but *wedged*.  The router beats the monitor on *every* frame
+    (data counts as proof of life, heartbeats only cover idle ranks) and
+    declares a rank wedged once its silence exceeds ``timeout``.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self._last: dict[int, float] = {}
+
+    def register(self, rank: int) -> None:
+        self._last[rank] = time.perf_counter()
+
+    def beat(self, rank: int) -> None:
+        if rank in self._last:
+            self._last[rank] = time.perf_counter()
+
+    def forget(self, rank: int) -> None:
+        self._last.pop(rank, None)
+
+    def reset(self) -> None:
+        """Restart every rank's window (e.g. after a long accept phase)."""
+        now = time.perf_counter()
+        for rank in self._last:
+            self._last[rank] = now
+
+    def stale(self, now: float) -> list[int]:
+        """Ranks silent for longer than ``timeout``, sorted."""
+        return sorted(
+            r for r, seen in self._last.items() if now - seen > self.timeout
+        )
+
+    def silence_error(self, ranks: list[int]) -> CommError:
+        """The wedge report the router raises under the abort policy."""
+        return CommError(
+            f"rank(s) {ranks} went silent: no heartbeat for "
+            f"{self.timeout:.1f}s (wedged or stopped)"
+        )
 
 
 class _SocketComm(BufferedComm):
@@ -439,7 +483,7 @@ class SocketCluster:
         self.heartbeat_timeout = (
             heartbeat_timeout
             if heartbeat_timeout is not None
-            else default_heartbeat_timeout(heartbeat)
+            else max(30.0, 10.0 * heartbeat)
         )
         self.faults = faults
         self.on_rank_failure = on_rank_failure
@@ -770,7 +814,7 @@ class SocketCluster:
                     monitor.forget(rank)
                     # A rank's stream is ordered: everything it sent was
                     # forwarded before this point, so peers see its data
-                    # before learning it is gone (pipe-EOF parity).
+                    # before learning it is gone.
                     for peer in range(self.size):
                         if peer != rank:
                             tell_peerdown(rank, peer)

@@ -327,7 +327,7 @@ def serial_spmd(comm: Any, spec: ExperimentSpec) -> dict[str, Any]:
 
     Lets the serial baseline execute on any cluster backend — in
     particular a one-rank real-process cluster, whose ``comm.elapsed()``
-    measures the wall-clock baseline of the mp speed-up tables.
+    measures the wall-clock baseline of the socket speed-up tables.
     Module-level (picklable) so the spawn start method can ship it.
     """
     problem = build_problem(spec, meter=comm.meter)
@@ -355,8 +355,8 @@ def run_serial(
 
     ``cluster="sim"`` (default) runs in-process and reports deterministic
     model-seconds, bit-identical to every earlier release.
-    ``cluster="mp"`` runs the same loop in one real child process and
-    reports its wall-clock — the serial baseline the mp backend's
+    ``cluster="socket"`` runs the same loop in one real child process and
+    reports its wall-clock — the serial baseline the socket backend's
     speed-ups are computed against (model-seconds ride along in
     ``extras``).
     """

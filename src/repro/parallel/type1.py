@@ -209,8 +209,8 @@ def run_type1(
     the serial search, so the paper compares equal-iteration runs.
     ``cluster`` selects the backend: ``"sim"`` (deterministic virtual
     clocks, the default — results bit-identical to earlier releases) or
-    ``"mp"``/``"socket"`` (real processes; ``runtime`` becomes
-    wall-clock).  ``deadline`` overrides the real backends' run deadline
+    ``"socket"`` (real processes; ``runtime`` becomes wall-clock).
+    ``deadline`` overrides the real backend's run deadline
     in seconds (ignored on ``"sim"``).
     """
     if p < 2:

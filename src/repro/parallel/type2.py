@@ -191,14 +191,14 @@ def run_type2(
     ``"contiguous"`` (mobility ablation).  ``iterations`` overrides the
     paper-scaled budget from :func:`parallel_iterations`.  ``cluster``
     selects the backend: ``"sim"`` (deterministic, bit-identical to
-    earlier releases) or ``"mp"``/``"socket"`` (real processes,
+    earlier releases) or ``"socket"`` (real processes,
     wall-clock runtime; the simulated ranks' shared-memory evaluation
     adoption does not apply — each process evaluates the broadcast
     solution itself, as the paper's real cluster did).  All Type II
     traffic is rank-addressed, so solutions and meters are bit-identical
     run-to-run on every backend at any ``p`` — the socket backend's
     p ∈ {16, 32, 64} speedup ladder relies on this.  ``deadline``
-    overrides the real backends' run deadline (ignored on ``"sim"``).
+    overrides the real backend's run deadline (ignored on ``"sim"``).
     """
     if p < 2:
         raise ValueError("Type II needs at least 2 ranks")

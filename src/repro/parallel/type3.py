@@ -217,14 +217,14 @@ def run_type3(
     ``p`` counts the central store: Table 4's "p = 3" is one store plus
     two searching slaves.  Serial and parallel runs use the same iteration
     budget per processor (paper: "Both the serial and parallel algorithms
-    were run for 2500 iterations at each processor").  ``cluster="mp"``
+    were run for 2500 iterations at each processor").  ``cluster="socket"``
     runs on real processes — message arrival order (and hence the
     cooperative search result) then varies run to run, exactly as it did
     on the paper's cluster; ``"sim"`` stays deterministic.
 
     ``faults`` arms a deterministic fault plan (spec string or
     :class:`FaultPlan`).  ``on_rank_failure="degrade"`` lets the run
-    survive mid-run searcher loss on the real backends: the store and
+    survive mid-run searcher loss on the real backend: the store and
     the backend stop waiting for the dead rank, the outcome is built
     from the survivors, and ``extras["degraded"]`` records what was
     lost (losing the store itself still aborts).  The default

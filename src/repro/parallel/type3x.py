@@ -208,7 +208,7 @@ def run_type3_diversified(
     """Run the diversified Type III variant (Section 7 future work).
 
     ``cluster`` selects the backend — ``"sim"`` (deterministic, default)
-    or ``"mp"`` (real processes; arrival order and hence the cooperative
+    or ``"socket"`` (real processes; arrival order and hence the cooperative
     result vary run to run).  ``faults`` / ``on_rank_failure`` behave as
     in :func:`repro.parallel.type3.run_type3`: a degraded run survives
     searcher loss and records it under ``extras["degraded"]``.

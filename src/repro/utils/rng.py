@@ -128,7 +128,7 @@ def rank_substream(seed: int, rank: int, name: str = "rank") -> RngStream:
 
     * **reproducible anywhere** — any process can reconstruct rank ``k``'s
       stream from ``(seed, k)`` alone: identical across backends
-      (sim/mp/socket), start methods (fork/spawn), hosts, and runs;
+      (sim/socket), start methods (fork/spawn), hosts, and runs;
     * **pairwise independent** — distinct ``(seed, rank)`` pairs hash to
       distinct keys, and distinct Philox keys index statistically
       independent 2^128-long streams, so no two ranks' draws overlap;

@@ -151,6 +151,8 @@ def test_backend_speedup_is_none_tolerant():
 def test_render_speedup_records_keeps_clock_domains_apart():
     from repro.analysis.reporting import render_speedup_records
 
+    # An artifact from the retired pipe-mesh backend still renders its
+    # mp column (and gains no empty socket column).
     records = [
         _rec("serial", "sim", 100.0, 0.60),
         _rec("serial", "mp", 10.0, 0.60),
@@ -160,10 +162,25 @@ def test_render_speedup_records_keeps_clock_domains_apart():
     out = render_speedup_records(records)
     lines = out.splitlines()
     assert "sim t" in lines[1] and "mp t" in lines[1]
+    assert "socket t" not in lines[1]
     t2_line = next(l for l in lines if "type2" in l)
     # sim speedup = 100/50, mp speedup = 10/4 — never 100/4 or 10/50.
     assert "2.00" in t2_line and "2.50" in t2_line
     assert "25.0" not in t2_line and "0.20" not in t2_line
+
+
+def test_render_speedup_records_shows_only_present_backends():
+    from repro.analysis.reporting import render_speedup_records
+
+    records = [
+        _rec("serial", "sim", 100.0, 0.60),
+        _rec("serial", "socket", 10.0, 0.60),
+        _rec("type2", "sim", 50.0, 0.58, p=4),
+        _rec("type2", "socket", 5.0, 0.59, p=4),
+    ]
+    header = render_speedup_records(records).splitlines()[1]
+    assert "sim t" in header and "socket t" in header
+    assert "mp t" not in header and "mp ×" not in header
 
 
 def test_render_speedup_records_tolerates_missing_backend():
@@ -171,9 +188,10 @@ def test_render_speedup_records_tolerates_missing_backend():
 
     records = [
         _rec("serial", "sim", 100.0, 0.60),
+        _rec("serial", "socket", 10.0, 0.60),
         _rec("type1", "sim", 120.0, 0.60, p=2),
     ]
     out = render_speedup_records(records)
     t1_line = next(l for l in out.splitlines() if "type1" in l)
     assert "0.83" in t1_line  # sim slowdown still reported
-    assert "-" in t1_line     # mp columns absent, not crashing
+    assert "-" in t1_line     # socket cells absent, not crashing

@@ -310,45 +310,66 @@ def test_list_shows_new_scenarios_and_ladder(capsys):
 # ------------------------------------------------------- --cluster / speedup
 
 
-def test_run_on_mp_cluster(tmp_path, capsys):
-    code = main([
+def test_run_on_socket_cluster(tmp_path, capsys):
+    argv = [
         "run", "--circuit", "s1196", "--strategy", "type2", "--p", "2",
-        "--cluster", "mp", "--iterations", "4", "--json",
-        "--out", str(tmp_path),
-    ])
+        "--cluster", "socket", "--iterations", "4",
+    ]
+    code = main(argv + ["--json", "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     record = json.loads(out[: out.rindex("}") + 1])
     assert record["ok"] is True
-    assert record["params"]["cluster"] == "mp"
-    assert record["outcome"]["extras"]["cluster"] == "mp"
+    assert record["params"]["cluster"] == "socket"
+    assert record["outcome"]["extras"]["cluster"] == "socket"
     assert record["outcome"]["extras"]["wall_seconds"] > 0
+    # The summary line labels the real backend's runtime as wall time.
+    assert main(argv) == 0
+    assert "wall-time=" in capsys.readouterr().out
 
 
-def test_run_profile_rejects_mp_cluster(capsys):
+def test_run_profile_rejects_socket_cluster(capsys):
     code = main([
         "run", "--circuit", "s1196", "--strategy", "profile",
-        "--cluster", "mp", "--iterations", "4",
+        "--cluster", "socket", "--iterations", "4",
     ])
     assert code == 2
     assert "profile" in capsys.readouterr().err
 
 
-def test_sweep_smoke_on_mp_cluster(tmp_path, capsys):
-    """`repro sweep --smoke --cluster mp`: every strategy end to end on
-    real processes, artifacts tagged separately from the sim run."""
+def test_mp_cluster_is_rejected_with_pointer_to_socket(capsys):
+    """The retired pipe-mesh backend name fails up front and names the
+    backend that replaced it."""
+    from repro.parallel.mpi.backend import make_cluster
+
+    for argv in (
+        ["run", "--circuit", "s1196", "--strategy", "type2", "--p", "2",
+         "--cluster", "mp", "--iterations", "4"],
+        ["sweep", "--smoke", "--cluster", "mp", "--no-cache"],
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "socket" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="socket"):
+        make_cluster("mp", 2)
+
+
+def test_sweep_smoke_on_socket_cluster(tmp_path, capsys):
+    """`repro sweep --smoke --cluster socket`: every strategy end to end
+    on real processes, artifacts tagged separately from the sim run."""
     code = main([
-        "sweep", "--smoke", "--cluster", "mp", "--out", str(tmp_path),
+        "sweep", "--smoke", "--cluster", "socket", "--out", str(tmp_path),
         "--no-cache",
     ])
     assert code == 0
-    payload = json.loads((tmp_path / "smoke-mp.json").read_text())
+    payload = json.loads((tmp_path / "smoke-socket.json").read_text())
     assert all(r["ok"] for r in payload["records"])
     strategies = {r["strategy"] for r in payload["records"]}
     assert strategies == {"serial", "type1", "type2", "type3", "type3x"}
     for r in payload["records"]:
-        assert r["params"]["cluster"] == "mp"
-        assert "cluster=mp" in r["cell_id"]
+        assert r["params"]["cluster"] == "socket"
+        assert "cluster=socket" in r["cell_id"]
 
 
 def test_tables_speedup_smoke_renders_side_by_side(tmp_path, capsys):
@@ -358,11 +379,11 @@ def test_tables_speedup_smoke_renders_side_by_side(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Speedup" in out
-    assert "sim t" in out and "mp t" in out and "mp ×" in out
-    assert "socket t" in out and "socket ×" in out
+    assert "sim t" in out and "socket t" in out and "socket ×" in out
+    assert "mp t" not in out
     payload = json.loads((tmp_path / "speedup-smoke.json").read_text())
     clusters = {r["params"].get("cluster") for r in payload["records"]}
-    assert clusters == {"sim", "mp", "socket"}
+    assert clusters == {"sim", "socket"}
     # The p > 8 socket ladder is excluded from smoke runs.
     assert max(r["params"].get("p", 1) for r in payload["records"]) <= 8
     assert all(r["ok"] for r in payload["records"])

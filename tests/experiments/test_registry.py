@@ -230,10 +230,10 @@ def test_speedup_scenario_covers_all_backends_and_all_strategies():
     strategies = {c.strategy for c in cells}
     assert strategies == {"serial", "type1", "type2", "type3", "type3x"}
     clusters = {c.params_dict().get("cluster") for c in cells}
-    assert clusters == {"sim", "mp", "socket"}
-    # Every (strategy, p) point up to the paper's 8 nodes exists on all
-    # three backends symmetrically; the socket-only ladder extends type2
-    # past the pipe mesh's p <= 16 wall.
+    assert clusters == {"sim", "socket"}
+    # Every (strategy, p) point up to the paper's 8 nodes exists on both
+    # backends symmetrically; the socket-only ladder extends type2 past
+    # the paper's 8 nodes.
     by_point = {}
     for c in cells:
         params = c.params_dict()
@@ -244,7 +244,7 @@ def test_speedup_scenario_covers_all_backends_and_all_strategies():
         if key in ladder_points:
             assert backends == {"socket"}, key
         else:
-            assert backends == {"sim", "mp", "socket"}, key
+            assert backends == {"sim", "socket"}, key
     # The ladder (and its serial baseline) runs on the cluster-scale
     # rung: paper circuits cannot row-decompose past p = 32.
     for c in cells:
@@ -265,13 +265,6 @@ def test_speedup_scenario_covers_all_backends_and_all_strategies():
     assert {p for (s, p) in by_point if s == "type3"} == {4, 8}
     # p=1 is the serial row.
     assert ("serial", 1) in by_point
-    # mp cells stay inside the backend's validated mesh range.
-    mp_ps = [
-        c.params_dict().get("p", 1)
-        for c in cells
-        if c.params_dict().get("cluster") == "mp"
-    ]
-    assert max(mp_ps) <= 16
     # The ladder is excluded from smoke runs (it spawns 16-64 processes
     # per cell, far beyond what a smoke pass should do).
     smoke_ps = {
@@ -286,19 +279,19 @@ def test_validate_rejects_bad_cluster():
     with pytest.raises(ValueError, match="unknown cluster backend"):
         _validate("type2", {"p": 2, "cluster": "mpi"})
     with pytest.raises(ValueError, match="in-process only"):
-        _validate("profile", {"cluster": "mp"})
-    _validate("serial", {"cluster": "mp"})  # fine
+        _validate("profile", {"cluster": "socket"})
+    _validate("serial", {"cluster": "socket"})  # fine
 
 
 def test_override_cluster_rewrites_params_and_ids():
     from repro.experiments.registry import override_cluster
 
     cells = resolve("smoke", smoke=True)
-    forced = override_cluster(cells, "mp")
+    forced = override_cluster(cells, "socket")
     assert len(forced) == len(cells)
     for before, after in zip(cells, forced):
-        assert after.params_dict()["cluster"] == "mp"
-        assert "cluster=mp" in after.cell_id
+        assert after.params_dict()["cluster"] == "socket"
+        assert "cluster=socket" in after.cell_id
         assert after.spec == before.spec
     # Forcing sim on cells with no cluster param (they already run on
     # sim) is a complete no-op: ids and cache keys stay untouched.
@@ -309,32 +302,22 @@ def test_override_cluster_rewrites_params_and_ids():
     ]
     assert override_cluster(sim_pinned, "sim") == sim_pinned
     # A scenario pinning several backends per point collapses to one cell
-    # per point — rewritten twins dedupe, ids stay unique — and points
-    # the pipe mesh cannot execute (the socket p > 16 ladder) are
-    # dropped rather than rewritten into guaranteed failures.
-    mp_forced = override_cluster(speedup_cells, "mp")
-    assert any(c.params_dict().get("p", 1) > 16 for c in speedup_cells)
-    assert all(c.params_dict().get("p", 1) <= 16 for c in mp_forced)
+    # per point — rewritten twins dedupe, ids stay unique — and every
+    # point survives, the socket-only p up to 64 ladder included.
+    socket_forced = override_cluster(speedup_cells, "socket")
 
-    # Every point the mesh *can* execute survives (including the ladder's
-    # p = 16 rung and the synth8000 serial baseline, which have no
-    # sim/mp twins), collapsed to exactly one mp cell per point.
     def point(c):
         prm = c.params_dict()
         return (c.strategy, c.spec.circuit, prm.get("p", 1),
                 prm.get("pattern"))
 
-    want = {
+    assert {point(c) for c in socket_forced} == {
         point(c) for c in speedup_cells
-        if c.params_dict().get("p", 1) <= 16
     }
-    assert {point(c) for c in mp_forced} == want
-    assert len({c.cell_id for c in mp_forced}) == len(mp_forced)
-    for c in mp_forced:
+    assert len({c.cell_id for c in socket_forced}) == len(socket_forced)
+    for c in socket_forced:
         assert c.cell_id.count("cluster=") == 1
-        assert c.params_dict().get("cluster") == "mp" or c.strategy == "profile"
-    # Forcing socket keeps the ladder (socket executes everything).
-    socket_forced = override_cluster(speedup_cells, "socket")
+        assert c.params_dict().get("cluster") == "socket"
     assert max(c.params_dict().get("p", 1) for c in socket_forced) == 64
     with pytest.raises(ValueError, match="unknown cluster backend"):
         override_cluster(cells, "slurm")
@@ -344,7 +327,7 @@ def test_override_cluster_leaves_profile_cells_alone():
     from repro.experiments.registry import override_cluster
 
     cells = resolve("profile", scale=100)
-    forced = override_cluster(cells, "mp")
+    forced = override_cluster(cells, "socket")
     assert forced == cells
 
 
@@ -352,7 +335,7 @@ def test_speedup_cell_ids_distinguish_backends():
     ids = [c.cell_id for c in resolve("speedup", scale=100)]
     assert len(ids) == len(set(ids))
     assert any("cluster=sim" in i for i in ids)
-    assert any("cluster=mp" in i for i in ids)
+    assert any("cluster=socket" in i for i in ids)
 
 
 def test_override_eval_mode_rewrites_spec_and_ids():

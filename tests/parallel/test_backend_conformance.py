@@ -1,18 +1,19 @@
-"""One communicator contract, three executions.
+"""One communicator contract, two executions.
 
-Parametrized conformance suite pinning sim (threads + virtual clock),
-mp (process mesh over pipes) and socket (hub-and-spoke router) to the
-same observable semantics: tag matching, out-of-order stashing,
-ANY_SOURCE behavior over finished peers, dead-peer receives raising
-:class:`CommError`, root-sequenced collectives, self-sends, and per-rank
+Parametrized conformance suite pinning sim (threads + virtual clock) and
+socket (OS processes over a hub-and-spoke router) to the same observable
+semantics: tag matching, out-of-order stashing, ANY_SOURCE behavior over
+finished peers, dead-peer receives raising :class:`CommError`,
+root-sequenced collectives, self-sends, rank failures, and per-rank
 meter/clock shipping.  Anything a strategy can observe through a
 ``Communicator`` must be indistinguishable across backends (up to the
-clock domain: model-seconds on sim, wall-seconds on mp/socket).
+clock domain: model-seconds on sim, wall-seconds on socket).
 
-Workers are module-level so the process backends can pickle them under
+Workers are module-level so the process backend can pickle them under
 any start method.
 """
 
+import os
 import time
 
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from repro.parallel.mpi.backend import CLUSTERS, make_cluster
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
 
-BACKENDS = ("sim", "mp", "socket")
+BACKENDS = ("sim", "socket")
 
 
 def test_suite_covers_every_registered_backend():
@@ -86,6 +87,16 @@ def test_self_send_is_local_and_ordered(backend):
         assert got == (rank, ("loopback", rank))
 
 
+def _w_self_send_any_source(comm):
+    comm.send("other-tag", comm.rank, tag=8)
+    return comm.recv(ANY_SOURCE, tag=8)
+
+
+def test_any_source_matches_a_stashed_self_send(backend):
+    res = make_cluster(backend, 2).run(_w_self_send_any_source)
+    assert res.results == [(0, "other-tag"), (1, "other-tag")]
+
+
 # ------------------------------------------------------------- ANY_SOURCE
 
 
@@ -113,6 +124,26 @@ def _w_any_source_over_finished_peer(comm):
     return None  # rank 2 finishes immediately, sending nothing
 
 
+def _w_any_source_filters_by_tag(comm):
+    if comm.rank != 0:
+        # The decoy tag goes first: a wildcard recv on tag 2 must skip it.
+        comm.send(f"decoy-{comm.rank}", 0, tag=1)
+        comm.send(f"want-{comm.rank}", 0, tag=2)
+        return None
+    wanted = sorted(
+        comm.recv(ANY_SOURCE, tag=2)[1] for _ in range(comm.size - 1)
+    )
+    decoys = sorted(
+        comm.recv(ANY_SOURCE, tag=1)[1] for _ in range(comm.size - 1)
+    )
+    return wanted, decoys
+
+
+def test_any_source_recv_filters_by_tag(backend):
+    res = make_cluster(backend, 3).run(_w_any_source_filters_by_tag)
+    assert res.results[0] == (["want-1", "want-2"], ["decoy-1", "decoy-2"])
+
+
 def test_any_source_skips_finished_peers(backend):
     res = make_cluster(backend, 3).run(_w_any_source_over_finished_peer)
     assert res.results[0] == (1, "survivor")
@@ -130,9 +161,9 @@ def _w_recv_from_finished_peer(comm):
 def test_targeted_recv_from_finished_peer_raises(backend):
     """Blocking on a peer that exited cleanly is an error everywhere.
 
-    sim raises :class:`DeadlockError` (a :class:`CommError`); mp sees the
-    EOF on the pipe; socket sees the router's PEERDOWN broadcast.  All
-    surface as ``CommError`` from ``run()``.
+    sim raises :class:`DeadlockError` (a :class:`CommError`); socket sees
+    the router's PEERDOWN broadcast.  Both surface as ``CommError`` from
+    ``run()``.
     """
     with pytest.raises(CommError):
         make_cluster(backend, 2).run(_w_recv_from_finished_peer)
@@ -186,7 +217,86 @@ def test_collectives_honor_nonzero_roots(backend):
     assert res.results[0] is None and res.results[2] is None
 
 
+def test_one_rank_run_of_the_collectives(backend):
+    res = make_cluster(backend, 1).run(_w_collectives)
+    assert res.results == [("token", 0, [0])]
+
+
+# ---------------------------------------------------------- rank failures
+
+
+def _w_rank_raises(comm):
+    if comm.rank == 1:
+        raise RuntimeError("rank down")
+    return comm.rank
+
+
+def test_raising_rank_fails_the_run_with_its_message(backend):
+    """sim re-raises the rank's own exception; socket ships its repr to
+    the parent as a ``CommError``.  Either way the message survives."""
+    expected = RuntimeError if backend == "sim" else CommError
+    with pytest.raises(expected, match="rank down"):
+        make_cluster(backend, 2).run(_w_rank_raises)
+
+
+def _w_peer_exits_abruptly(comm):
+    if comm.rank == 0:
+        os._exit(3)  # no result, no cleanup
+    try:
+        comm.recv(source=0, tag=5)
+    except CommError as exc:
+        return f"survivor saw: {exc}"
+    return "no error"
+
+
+def test_survivor_blocked_on_a_vanished_peer_gets_commerror():
+    """A survivor blocked on a dead peer gets ``CommError``, not a hang.
+
+    Real processes only (``os._exit`` would take the whole sim host
+    down).  The router may report either failure shape depending on
+    which connection it drains first — both carry rank 0's death — and
+    detection is EOF-driven, far inside the 30 s deadline.
+    """
+    t0 = time.perf_counter()
+    with pytest.raises(CommError, match="rank 0|survivor saw"):
+        make_cluster("socket", 2, timeout=30).run(_w_peer_exits_abruptly)
+    assert time.perf_counter() - t0 < 15
+
+
+def _w_p2p_before_collective(comm):
+    # Every non-root ships a p2p message to the root *before* the
+    # collectives: the root must stash the p2p traffic it reads while
+    # waiting for collective messages, and recv() must find it later.
+    if comm.rank != 0:
+        comm.send(f"p2p-{comm.rank}", 0, tag=3)
+    token = comm.bcast("token" if comm.rank == 0 else None, root=0)
+    gathered = comm.gather(comm.rank * 10, root=0)
+    if comm.rank == 0:
+        p2p = sorted(
+            comm.recv(ANY_SOURCE, tag=3)[1] for _ in range(comm.size - 1)
+        )
+        return token, gathered, p2p
+    return token
+
+
+def test_collectives_interleave_with_pending_p2p(backend):
+    res = make_cluster(backend, 3).run(_w_p2p_before_collective)
+    assert res.results[0] == ("token", [0, 10, 20], ["p2p-1", "p2p-2"])
+    assert res.results[1:] == ["token", "token"]
+
+
 # ------------------------------------------------- meters, clocks, shapes
+
+
+def _w_elapsed(comm):
+    comm.barrier()
+    return comm.elapsed()
+
+
+def test_elapsed_is_nonnegative_and_makespan_positive(backend):
+    res = make_cluster(backend, 2).run(_w_elapsed)
+    assert all(t >= 0.0 for t in res.results)
+    assert res.makespan > 0.0
 
 
 def _w_charge_per_rank(comm):
@@ -202,7 +312,7 @@ def test_meters_and_clocks_ship_per_rank(backend):
     res = cl.run(_w_charge_per_rank)
     assert res.results == list(range(p))
     assert len(res.clocks) == p and len(res.meters) == p
-    # makespan is max(clock) on sim but parent wall-clock on mp/socket
+    # makespan is max(clock) on sim but parent wall-clock on socket
     # (it includes spawn/teardown), so pin only the ordering invariant.
     assert res.makespan >= max(res.clocks) >= 0.0
     for rank, meter in enumerate(res.meters):
@@ -221,6 +331,10 @@ def test_per_rank_kwargs_reach_each_rank(backend):
         per_rank_kwargs=[{"bonus": 10 * r} for r in range(3)],
     )
     assert res.results == [100, 111, 122]
+    with pytest.raises(ValueError, match="one entry per rank"):
+        make_cluster(backend, 2).run(
+            _w_per_rank_kwargs, args=(1,), per_rank_kwargs=[{}]
+        )
 
 
 # ------------------------------------------- traced ANY_SOURCE fairness

@@ -16,7 +16,6 @@ from repro.parallel.mpi.backend import (
     ClusterRunResult,
     make_cluster,
 )
-from repro.parallel.mpi.mp_backend import MpCluster
 from repro.parallel.mpi.simcluster import SimCluster
 from repro.parallel.mpi.socket_backend import SocketCluster
 from repro.parallel.runners import ExperimentSpec, run_serial
@@ -52,7 +51,6 @@ def _echo(comm):
 def test_make_cluster_builds_conforming_backends():
     for kind, cls, clock in (
         ("sim", SimCluster, "model"),
-        ("mp", MpCluster, "wall"),
         ("socket", SocketCluster, "wall"),
     ):
         cl = make_cluster(kind, 2)
@@ -69,13 +67,12 @@ def test_make_cluster_builds_conforming_backends():
 def test_make_cluster_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown cluster backend"):
         make_cluster("slurm", 2)
-    assert CLUSTERS == ("sim", "mp", "socket")
+    assert CLUSTERS == ("sim", "socket")
 
 
 def test_make_cluster_timeout_threads_through():
-    for kind in ("mp", "socket"):
-        cl = make_cluster(kind, 2, timeout=42.0)
-        assert cl.timeout == 42.0
+    cl = make_cluster("socket", 2, timeout=42.0)
+    assert cl.timeout == 42.0
 
 
 @pytest.mark.parametrize("runner,kwargs", [
@@ -86,15 +83,15 @@ def test_make_cluster_timeout_threads_through():
 ])
 def test_every_strategy_runs_on_both_backends(runner, kwargs):
     sim = runner(SPEC, cluster="sim", **kwargs)
-    mp_ = runner(SPEC, cluster="mp", **kwargs)
-    for out, cluster in ((sim, "sim"), (mp_, "mp")):
+    sock = runner(SPEC, cluster="socket", **kwargs)
+    for out in (sim, sock):
         assert 0.0 <= out.best_mu <= 1.0
         assert out.runtime > 0.0
         assert out.p == kwargs["p"]
-    # mp outcomes label their clock domain and carry both clocks.
-    assert mp_.extras["cluster"] == "mp"
-    assert mp_.extras["wall_seconds"] > 0.0
-    assert len(mp_.extras["model_seconds"]) == kwargs["p"]
+    # socket outcomes label their clock domain and carry both clocks.
+    assert sock.extras["cluster"] == "socket"
+    assert sock.extras["wall_seconds"] > 0.0
+    assert len(sock.extras["model_seconds"]) == kwargs["p"]
     assert "cluster" not in sim.extras  # sim extras unchanged vs pre-protocol
 
 
@@ -112,19 +109,19 @@ def test_sim_default_is_bit_identical_to_explicit_sim():
     assert a.to_dict() == b.to_dict()
 
 
-def test_type1_on_mp_reproduces_serial_quality():
+def test_type1_on_socket_reproduces_serial_quality():
     """Type I replays the serial search on any backend (it broadcasts the
     master's deterministic trajectory), so even real-process runs land on
     the serial µ exactly."""
     serial = run_serial(SPEC)
-    mp_ = run_type1(SPEC, p=2, cluster="mp")
-    assert mp_.best_mu == pytest.approx(serial.best_mu, abs=1e-12)
+    sock = run_type1(SPEC, p=2, cluster="socket")
+    assert sock.best_mu == pytest.approx(serial.best_mu, abs=1e-12)
 
 
-def test_serial_on_mp_matches_sim_quality_with_wall_runtime():
+def test_serial_on_socket_matches_sim_quality_with_wall_runtime():
     sim = run_serial(SPEC)
-    mp_ = run_serial(SPEC, cluster="mp")
-    assert mp_.best_mu == pytest.approx(sim.best_mu, abs=1e-12)
-    assert mp_.best_costs == sim.best_costs
-    assert mp_.extras["model_seconds"] == pytest.approx(sim.runtime)
-    assert mp_.runtime > 0.0  # wall-clock, not model time
+    sock = run_serial(SPEC, cluster="socket")
+    assert sock.best_mu == pytest.approx(sim.best_mu, abs=1e-12)
+    assert sock.best_costs == sim.best_costs
+    assert sock.extras["model_seconds"] == pytest.approx(sim.runtime)
+    assert sock.runtime > 0.0  # wall-clock, not model time

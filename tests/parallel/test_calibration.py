@@ -11,7 +11,7 @@ from repro.parallel.mpi.calibration import (
     calibrated_network_model,
     calibrated_work_model,
     fit_work_model,
-    measure_mp_samples,
+    measure_host_samples,
 )
 from repro.parallel.runners import ExperimentSpec, run_serial
 
@@ -101,10 +101,10 @@ def test_fit_accepts_custom_base_model():
     assert fitted.cost("allocation") == pytest.approx(4.0)
 
 
-def test_calibrate_to_host_measures_through_mp_backend():
+def test_calibrate_to_host_measures_through_socket_backend():
     """End to end on this host: real one-rank processes, positive scale,
     model-seconds now tracking measured wall time."""
-    samples = measure_mp_samples(circuit="s1196", budgets=(2, 4))
+    samples = measure_host_samples(circuit="s1196", budgets=(2, 4))
     assert len(samples) == 2
     for units, wall in samples:
         assert units.get("allocation", 0.0) > 0.0
@@ -118,6 +118,6 @@ def test_calibrate_to_host_measures_through_mp_backend():
     assert priced == pytest.approx(wall, rel=0.8)
 
 
-def test_measure_mp_samples_validates_budgets():
+def test_measure_host_samples_validates_budgets():
     with pytest.raises(ValueError, match=">= 1"):
-        measure_mp_samples(budgets=(0,))
+        measure_host_samples(budgets=(0,))

@@ -20,7 +20,7 @@ SPEC = ExperimentSpec(
 )
 
 
-@pytest.mark.parametrize("cluster", ["mp", "socket"])
+@pytest.mark.parametrize("cluster", ["socket"])
 def test_type3_degrades_onto_survivors(cluster):
     out = run_type3(
         SPEC, p=4, retry_threshold=3, cluster=cluster,
@@ -57,7 +57,7 @@ def test_type3_rank0_loss_aborts_even_under_degrade():
 
 def test_type3x_degrades_onto_survivors():
     out = run_type3_diversified(
-        SPEC, p=4, retry_threshold=3, cluster="mp",
+        SPEC, p=4, retry_threshold=3, cluster="socket",
         faults="kill:rank=3:at=6", on_rank_failure="degrade", deadline=120.0,
     )
     degraded = out.extras["degraded"]
@@ -84,6 +84,6 @@ def test_degrade_without_faults_is_bit_identical_to_abort():
 def test_invalid_policy_rejected():
     with pytest.raises(ValueError, match="on_rank_failure"):
         run_type3(
-            SPEC, p=3, retry_threshold=3, cluster="mp",
+            SPEC, p=3, retry_threshold=3, cluster="socket",
             on_rank_failure="retry",
         )

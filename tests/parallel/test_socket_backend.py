@@ -21,9 +21,8 @@ import pytest
 from repro.netlist.generator import CircuitSpec
 from repro.netlist.suite import PAPER_CIRCUITS
 from repro.parallel.faults import KILL_EXIT, FaultPlan
-from repro.parallel.mpi.backend import make_cluster
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
-from repro.parallel.mpi.mp_backend import MAX_MESH_SIZE, MpCluster
+from repro.parallel.mpi.mp_backend import pick_start_method
 from repro.parallel.mpi.socket_backend import MAX_SOCKET_RANKS, SocketCluster
 from repro.parallel.runners import ExperimentSpec
 from repro.parallel.type2 import run_type2
@@ -95,20 +94,6 @@ def test_heartbeat_catches_wedged_rank_before_deadline():
     assert time.perf_counter() - t0 < 30
 
 
-def test_mp_backend_has_wedge_detection():
-    """The mp backend shares the router's heartbeat liveness: a wedged
-    (SIGSTOPped) rank is caught in O(heartbeat_timeout), not only by the
-    whole-run deadline."""
-    cluster = MpCluster(
-        3, timeout=120, heartbeat=0.2, heartbeat_timeout=1.5,
-        faults=FaultPlan.parse("wedge:rank=1:at=1", seed=0),
-    )
-    t0 = time.perf_counter()
-    with pytest.raises(CommError, match="went silent: no heartbeat"):
-        cluster.run(_block)
-    assert time.perf_counter() - t0 < 30
-
-
 def _pingpong(comm, rounds=4):
     out = []
     for i in range(rounds):
@@ -155,6 +140,14 @@ def test_tcp_address_round_trips():
     assert res.results[0] == [0, 1]
 
 
+def test_start_method_is_available():
+    import multiprocessing as mp
+
+    assert pick_start_method() in mp.get_all_start_methods()
+    # Explicit override is honoured.
+    assert SocketCluster(2, start_method="spawn").start_method == "spawn"
+
+
 def test_spawn_start_method_runs():
     res = SocketCluster(2, start_method="spawn").run(_echo)
     assert res.results[0] == [0, 1]
@@ -168,16 +161,6 @@ def test_size_validated_against_router_bound():
     # The bound itself is constructible (no sockets until run()).
     assert SocketCluster(MAX_SOCKET_RANKS).size == MAX_SOCKET_RANKS
     assert MAX_SOCKET_RANKS == 256
-
-
-def test_mesh_overflow_error_points_at_socket_backend():
-    """p > 16 on mp must tell the user which backend *can* run it."""
-    for build in (lambda: MpCluster(MAX_MESH_SIZE + 1),
-                  lambda: make_cluster("mp", MAX_MESH_SIZE + 1)):
-        with pytest.raises(ValueError, match="--cluster socket"):
-            build()
-    # ...and the socket backend really can.
-    assert make_cluster("socket", MAX_MESH_SIZE + 1).size == 17
 
 
 # ------------------------------------------------------------- determinism

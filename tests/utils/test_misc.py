@@ -1,36 +1,8 @@
-"""Stopwatch, validation helpers, logging."""
-
-import logging
-import time
+"""Validation helpers."""
 
 import pytest
 
-from repro.utils.log import enable_console_logging, get_logger
-from repro.utils.timing import Stopwatch
 from repro.utils.validation import check_in_range, check_positive, check_probability
-
-
-def test_stopwatch_accumulates():
-    sw = Stopwatch()
-    with sw.lap("a"):
-        time.sleep(0.01)
-    with sw.lap("a"):
-        pass
-    assert sw.total("a") >= 0.01
-    assert sw.total("missing") == 0.0
-
-
-def test_stopwatch_shares():
-    sw = Stopwatch()
-    sw.add("x", 3.0)
-    sw.add("y", 1.0)
-    shares = sw.shares()
-    assert shares["x"] == pytest.approx(0.75)
-    assert sw.grand_total() == pytest.approx(4.0)
-
-
-def test_stopwatch_empty_shares():
-    assert Stopwatch().shares() == {}
 
 
 def test_check_positive():
@@ -54,15 +26,3 @@ def test_check_in_range():
     with pytest.raises(ValueError):
         check_in_range("x", 11, 0, 10)
 
-
-def test_logger_hierarchy():
-    assert get_logger().name == "repro"
-    assert get_logger("sime.engine").name == "repro.sime.engine"
-
-
-def test_enable_console_logging_idempotent():
-    enable_console_logging()
-    root = logging.getLogger("repro")
-    n = len(root.handlers)
-    enable_console_logging()
-    assert len(root.handlers) == n
