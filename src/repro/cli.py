@@ -46,22 +46,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.reporting import render_records, render_table
-from repro.experiments.artifacts import ArtifactStore, CellCache, RunRecord, failed
+from repro.experiments.artifacts import (
+    NON_IDENTITY_PARAMS,
+    ArtifactStore,
+    CellCache,
+    RunRecord,
+    failed,
+)
 from repro.experiments.registry import (
-    CLUSTERS,
+    KNOBS,
+    SweepCell,
+    _cell_id,
     base_spec,
     custom_sweep,
     get_scenario,
     list_scenarios,
-    override_cluster,
-    override_deadline,
-    override_eval_mode,
-    override_faults,
-    override_on_rank_failure,
+    override,
     resolve,
 )
 from repro.sime.config import EVAL_MODES
@@ -89,12 +94,72 @@ def _csv_ints(text: str) -> list[int]:
     return [int(t) for t in _csv_list(text)]
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+#: Flag, metavar and help of each registry knob (``dest`` is its name).
+_KNOB_FLAGS = {
+    "cluster": ("--cluster", None,
+                "execution backend: sim (simulated cluster, model-seconds) "
+                "or socket (real processes, p up to 256, wall-clock)"),
+    "eval_mode": ("--eval-mode", None,
+                  "allocation evaluation path: scalar (bit-exact), batch "
+                  "(vectorized, ulp-budget equivalent) or check (both, gated)"),
+    "deadline": ("--deadline", "SECONDS",
+                 "run deadline of real-process cells (default 600s); not "
+                 "part of cell ids or cache keys"),
+    "faults": ("--inject-faults", "SPEC",
+               "deterministic fault plan for parallel cells, e.g. "
+               "'kill:at=6' or 'wedge:rank=2:at=5'"),
+    "on_rank_failure": ("--on-rank-failure", None,
+                        "type3/type3x response to losing a rank: fail fast "
+                        "(abort) or continue on the survivors (degrade)"),
+}
+
+
+def _knob_parser() -> argparse.ArgumentParser:
+    """The knob flags ``run``, ``sweep`` and ``tables`` share.
+
+    An unset knob (``None``) is not forced: each cell keeps its value.
+    The registry knob checks each value, so a bad one is a usage error
+    (exit 2) before anything runs.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group(
+        "run-time knobs (same meaning on run, sweep and tables)")
+    for name, (flag, metavar, help_text) in _KNOB_FLAGS.items():
+        knob = KNOBS[name]
+
+        def parse(text: str, check: Any = knob.check) -> Any:
+            try:
+                return check(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        group.add_argument(flag, dest=name, type=parse, metavar=metavar,
+                           choices=knob.choices or None, help=help_text)
+    group.add_argument(
+        "--max-retries", type=_non_negative_int, default=0, metavar="N",
+        help="re-run a cell up to N times after transient failures (rank "
+             "death, wedge, dropped connection) with deterministic "
+             "jittered backoff; deterministic failures never retry")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Parallel SimE placement experiments (Sait, Ali & Zaidi, IPPS 2006)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    knobs = _knob_parser()
 
     p_list = sub.add_parser("list", help="list scenarios and circuits")
     p_list.add_argument("--circuits", action="store_true",
@@ -103,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include scenario descriptions and grids")
     p_list.set_defaults(func=cmd_list)
 
-    p_run = sub.add_parser("run", help="run a single experiment cell")
+    p_run = sub.add_parser(
+        "run", parents=[knobs], help="run a single experiment cell")
     p_run.add_argument("--circuit", default=None, choices=list_all_circuits())
     p_run.add_argument("--scenario", default=None,
                        help="run every cell of a registered scenario "
@@ -123,41 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Type II row-allocation pattern")
     p_run.add_argument("--retry-threshold", type=int, default=None,
                        help="Type III retry threshold (default ~4%% of budget)")
-    p_run.add_argument("--cluster", default="sim", choices=list(CLUSTERS),
-                       help="execution backend: deterministic simulated "
-                            "cluster (sim, model-seconds) or real OS "
-                            "processes over the socket router (socket, "
-                            "p up to 256, wall-clock)")
-    p_run.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
-                       help="run deadline for the real-process backend "
-                            "(default 600s); ignored with --cluster sim")
-    p_run.add_argument("--inject-faults", default=None, metavar="SPEC",
-                       help="arm a deterministic fault plan on the run, "
-                            "e.g. 'kill:at=6' or 'wedge:rank=2:at=5' "
-                            "(parallel strategies only)")
-    p_run.add_argument("--on-rank-failure", default="abort",
-                       choices=["abort", "degrade"],
-                       help="type3/type3x response to losing a rank mid-run: "
-                            "fail fast (default) or continue on the "
-                            "survivors at reduced p")
-    p_run.add_argument("--max-retries", type=int, default=0, metavar="N",
-                       help="re-run the cell up to N times after transient "
-                            "failures (rank death, wedge, dropped "
-                            "connection) with backoff; deterministic "
-                            "failures never retry")
-    p_run.add_argument("--eval-mode", default="scalar",
-                       choices=list(EVAL_MODES),
-                       help="allocation evaluation path: scalar (bit-exact "
-                            "default), batch (vectorized SoA kernel, ulp-"
-                            "budget equivalent), or check (scalar decisions "
-                            "+ batch re-scoring equivalence gate)")
     p_run.add_argument("--out", default=None,
                        help="artifact directory (also writes JSON/CSV)")
     p_run.add_argument("--json", action="store_true",
                        help="print the full outcome record as JSON")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a scenario or custom grid")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[knobs], help="run a scenario or custom grid")
     p_sweep.add_argument("--scenario", default=None,
                          help="registered scenario name (see `repro list`)")
     p_sweep.add_argument("--circuits", type=_csv_list, default=None,
@@ -174,32 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="divide paper iteration budgets by this")
     p_sweep.add_argument("--smoke", action="store_true",
                          help="tiny budgets/circuits (CI); default scenario: smoke")
-    p_sweep.add_argument("--cluster", default=None, choices=list(CLUSTERS),
-                         help="force every cell onto one cluster backend "
-                              "(sim: deterministic model-seconds; socket: "
-                              "real processes, wall-clock)")
-    p_sweep.add_argument("--deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="run deadline for cells on the real-process "
-                              "backend (default 600s); sim cells are "
-                              "unaffected")
-    p_sweep.add_argument("--inject-faults", default=None, metavar="SPEC",
-                         help="arm a deterministic fault plan on every "
-                              "parallel cell (serial/profile cells pass "
-                              "through); identity-affecting — faulted "
-                              "cells cache separately")
-    p_sweep.add_argument("--on-rank-failure", default=None,
-                         choices=["abort", "degrade"],
-                         help="rank-loss policy for type3/type3x cells: "
-                              "abort (default) or degrade onto survivors")
-    p_sweep.add_argument("--max-retries", type=int, default=0, metavar="N",
-                         help="per-cell retry budget for transient "
-                              "failures (with deterministic jittered "
-                              "backoff); deterministic failures fail fast")
-    p_sweep.add_argument("--eval-mode", default=None,
-                         choices=list(EVAL_MODES),
-                         help="force every cell onto one allocation "
-                              "evaluation path (see `repro run`)")
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="process-pool size (implies --backend process)")
     p_sweep.add_argument("--processes", action="store_true",
@@ -226,31 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tables = sub.add_parser(
-        "tables", help="reproduce a paper table or render a scenario")
+        "tables", parents=[knobs],
+        help="reproduce a paper table or render a scenario")
     p_tables.add_argument("--table", type=int, default=None, choices=[1, 2, 3, 4],
                           help="paper table number")
     p_tables.add_argument("--scenario", default=None,
                           help="any registered scenario name instead of "
                                "a table number (see `repro list`)")
     p_tables.add_argument("--circuits", type=_csv_list, default=None)
-    p_tables.add_argument("--cluster", default=None, choices=list(CLUSTERS),
-                          help="force every cell onto one cluster backend")
-    p_tables.add_argument("--deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="run deadline for cells on the real-process "
-                               "backend (default 600s)")
-    p_tables.add_argument("--inject-faults", default=None, metavar="SPEC",
-                          help="arm a deterministic fault plan on every "
-                               "parallel cell")
-    p_tables.add_argument("--on-rank-failure", default=None,
-                          choices=["abort", "degrade"],
-                          help="rank-loss policy for type3/type3x cells")
-    p_tables.add_argument("--max-retries", type=int, default=0, metavar="N",
-                          help="per-cell retry budget for transient failures")
-    p_tables.add_argument("--eval-mode", default=None,
-                          choices=list(EVAL_MODES),
-                          help="force every cell onto one allocation "
-                               "evaluation path (see `repro run`)")
     p_tables.add_argument("--scale", type=int, default=100)
     p_tables.add_argument("--smoke", action="store_true",
                           help="one cheap circuit, minimal iterations")
@@ -376,8 +372,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.registry import SweepCell
-
     if (args.scenario is None) == (args.circuit is None):
         print("need exactly one of --circuit CKT or --scenario NAME",
               file=sys.stderr)
@@ -385,11 +379,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.scenario is not None:
         return _run_scenario_inline(args)
     spec = base_spec(
-        args.circuit,
-        objectives=tuple(args.objectives),
-        iterations=args.iterations,
-        seed=args.seed,
-        eval_mode=args.eval_mode,
+        args.circuit, tuple(args.objectives), args.iterations, args.seed
     )
     params: dict[str, Any] = {}
     if args.strategy in ("type1", "type2", "type3", "type3x"):
@@ -403,51 +393,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.retry_threshold is not None
             else max(1, args.iterations // 25)
         )
-    if args.cluster != "sim":
-        if args.strategy == "profile":
-            print("--cluster socket does not apply to the in-process "
-                  "profile pseudo-strategy", file=sys.stderr)
-            return 2
-        params["cluster"] = args.cluster
-        if args.deadline is not None:
-            params["deadline"] = args.deadline
-    elif args.deadline is not None:
-        print("--deadline applies to the real-process backend "
-              "(--cluster socket)", file=sys.stderr)
-        return 2
-    if args.inject_faults is not None:
-        if args.strategy in ("serial", "profile"):
-            print("--inject-faults applies to the parallel strategies only",
-                  file=sys.stderr)
-            return 2
-        from repro.parallel.faults import format_faults, parse_faults
-
-        try:
-            params["faults"] = format_faults(parse_faults(args.inject_faults))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.on_rank_failure != "abort":
-        if args.strategy not in ("type3", "type3x"):
-            print("--on-rank-failure degrade applies to type3/type3x only",
-                  file=sys.stderr)
-            return 2
-        params["on_rank_failure"] = args.on_rank_failure
-    # eval_mode lives in the spec (not params — params are runner kwargs),
-    # but a non-default mode is still part of the cell's identity.  The
-    # deadline is operational, not identity, so it stays out of the id.
-    id_parts = {k: v for k, v in params.items() if k != "deadline"}
-    if args.eval_mode != "scalar":
-        id_parts["eval_mode"] = args.eval_mode
-    param_tail = ",".join(f"{k}={v}" for k, v in sorted(id_parts.items()))
     cell = SweepCell(
-        scenario="cli-run",
-        cell_id=f"{args.circuit}/seed{args.seed}/{args.strategy}"
-        + (f"[{param_tail}]" if param_tail else ""),
-        strategy=args.strategy,
-        spec=spec,
-        params=tuple(sorted(params.items())),
+        "cli-run", "", args.strategy, spec, tuple(sorted(params.items()))
     )
+    # Knob by knob in table order (a deadline applies only once a cluster
+    # is forced); a value this cell ignores is a usage error, not a no-op.
+    for name, knob in KNOBS.items():
+        value = getattr(args, name)
+        if value is None or value == knob.current(cell):
+            continue
+        if not knob.applies(args.strategy, cell.params_dict()):
+            print(f"error: {_KNOB_FLAGS[name][0]} does not apply to "
+                  f"this {args.strategy} cell: {knob.why}", file=sys.stderr)
+            return 2
+        cell = override([cell], **{name: value})[0]
+    # The id lists the identity params plus a non-default eval mode, sorted.
+    id_parts = {k: v for k, v in cell.params if k not in NON_IDENTITY_PARAMS}
+    if cell.spec.eval_mode != KNOBS["eval_mode"].default:
+        id_parts["eval_mode"] = cell.spec.eval_mode
+    cell = replace(cell, cell_id=_cell_id(
+        args.circuit, args.seed, args.strategy, dict(sorted(id_parts.items()))
+    ))
     record = run_cell(cell, max_retries=args.max_retries)
     if not record.ok:
         print(f"FAILED: {record.error}", file=sys.stderr)
@@ -486,8 +452,8 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
     """``repro run --scenario NAME``: every cell, in-process, in order.
 
     A convenience front end over the same cells ``repro sweep`` resolves
-    — no pool, no cache, artifacts only with ``--out``.  ``--cluster
-    socket`` forces the whole scenario onto the real-process backend.
+    — no pool, no cache, artifacts only with ``--out`` (named like the
+    ``repro sweep`` artifact of the same knobs).
     """
     try:
         scenario = get_scenario(args.scenario)
@@ -495,33 +461,20 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.cluster != "sim":
-        cells = override_cluster(cells, args.cluster)
-    if args.eval_mode != "scalar":
-        cells = override_eval_mode(cells, args.eval_mode)
-    if args.deadline is not None:
-        cells = override_deadline(cells, args.deadline)
-    try:
-        if args.inject_faults is not None:
-            cells = override_faults(cells, args.inject_faults)
-        if args.on_rank_failure != "abort":
-            cells = override_on_rank_failure(cells, args.on_rank_failure)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cells, tag = _apply_knobs(args, cells, scenario.name)
     print(f"run {scenario.name}: {len(cells)} cells")
-    records = []
-    for i, cell in enumerate(cells):
-        record = run_cell(cell, max_retries=args.max_retries)
-        records.append(record)
-        _progress(i + 1, len(cells), record)
+    records = run_sweep(cells, progress=_progress, max_retries=args.max_retries)
     if args.out:
         store = ArtifactStore(args.out)
-        tag = scenario.name if args.cluster == "sim" else f"{scenario.name}-{args.cluster}"
         json_path, _csv_path = store.save(tag, records)
         print(f"artifact: {json_path}")
+    return _render(records, scenario.name)
+
+
+def _render(records: Sequence[RunRecord], name: str) -> int:
+    """Print the report; exit status 1 if any cell failed."""
     print()
-    print(render_records(records, scenario.name))
+    print(render_records(records, name))
     bad = failed(records)
     if bad:
         print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)
@@ -529,26 +482,17 @@ def _run_scenario_inline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_records(
-    cells: Sequence[Any],
-    workers: int | None,
-    processes: bool,
-    backend: str | None = None,
-    chunk_size: int | None = None,
-    cache: CellCache | None = None,
-    max_retries: int = 0,
-) -> list[RunRecord]:
-    use_processes = processes or workers is not None
-    return run_sweep(
-        cells,
-        workers=workers,
-        processes=use_processes,
-        progress=_progress,
-        backend=backend,
-        chunk_size=chunk_size,
-        cache=cache,
-        max_retries=max_retries,
-    )
+def _apply_knobs(
+    args: argparse.Namespace, cells: Sequence[SweepCell], tag: str
+) -> tuple[list[SweepCell], str]:
+    """Force the command line's knobs onto ``cells``; suffix ``tag`` so a
+    forced run never clobbers the default artifact (unless ``--tag``)."""
+    forced = {name: getattr(args, name) for name in KNOBS}
+    if not getattr(args, "tag", None):
+        tag += "".join(
+            KNOBS[name].tag(v) for name, v in forced.items() if v is not None
+        )
+    return override(cells, **forced), tag
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -629,43 +573,12 @@ def _execute_sweep(
     if not cells:
         print("error: resolved 0 cells (empty circuit/seed set?)", file=sys.stderr)
         return 2
-    forced_cluster = getattr(args, "cluster", None)
-    if forced_cluster:
-        cells = override_cluster(cells, forced_cluster)
-    forced_mode = getattr(args, "eval_mode", None)
-    if forced_mode:
-        cells = override_eval_mode(cells, forced_mode)
-    forced_deadline = getattr(args, "deadline", None)
-    if forced_deadline is not None:
-        # Operational bound only: no tag or cache-key consequences.
-        cells = override_deadline(cells, forced_deadline)
-    forced_faults = getattr(args, "inject_faults", None)
-    forced_policy = getattr(args, "on_rank_failure", None)
-    try:
-        if forced_faults is not None:
-            cells = override_faults(cells, forced_faults)
-        if forced_policy and forced_policy != "abort":
-            cells = override_on_rank_failure(cells, forced_policy)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     # Smoke runs get their own artifact name so they never clobber a
     # full-scale run of the same scenario; shards get a slice suffix.
     tag = getattr(args, "tag", None) or scenario.name
     if args.smoke and not getattr(args, "tag", None) and not tag.endswith("smoke"):
         tag = f"{scenario.name}-smoke"
-    if forced_cluster and not getattr(args, "tag", None):
-        # A forced-backend run must never clobber the default artifact.
-        tag = f"{tag}-{forced_cluster}"
-    if forced_mode and forced_mode != "scalar" and not getattr(args, "tag", None):
-        # Same for a forced non-default evaluation path.
-        tag = f"{tag}-{forced_mode}"
-    if forced_faults and not getattr(args, "tag", None):
-        # Chaos runs carry injected failures; keep them clearly apart.
-        tag = f"{tag}-faults"
-    if forced_policy == "degrade" and not getattr(args, "tag", None):
-        tag = f"{tag}-degrade"
+    cells, tag = _apply_knobs(args, cells, tag)
     shard = None
     if getattr(args, "shard", None):
         try:
@@ -702,14 +615,15 @@ def _execute_sweep(
     shard_note = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
     print(f"{banner}: {len(cells)} cells"
           + (" (smoke)" if args.smoke else "") + shard_note)
-    records = _sweep_records(
+    records = run_sweep(
         cells,
-        args.workers,
-        args.processes,
+        workers=args.workers,
+        processes=args.processes or args.workers is not None,
+        progress=_progress,
         backend=getattr(args, "backend", None),
         chunk_size=getattr(args, "chunk_size", None),
         cache=cache,
-        max_retries=getattr(args, "max_retries", 0),
+        max_retries=args.max_retries,
     )
     store = ArtifactStore(args.out)
     meta = {
@@ -722,13 +636,7 @@ def _execute_sweep(
         meta["shard"] = f"{shard[0]}/{shard[1]}"
     json_path, csv_path = store.save(tag, records, meta)
     print(f"\nartifacts: {json_path}  {csv_path}")
-    print()
-    print(render_records(records, scenario.name))
-    bad = failed(records)
-    if bad:
-        print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return _render(records, scenario.name)
 
 
 def cmd_diff(args: argparse.Namespace) -> int:

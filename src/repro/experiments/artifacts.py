@@ -52,7 +52,7 @@ except ImportError:  # pragma: no cover - non-posix hosts
     fcntl = None  # type: ignore[assignment]
 from repro.utils.hashing import stable_hash
 
-if TYPE_CHECKING:  # import cycle guard: registry imports nothing from here
+if TYPE_CHECKING:  # import cycle guard: registry imports this module
     from repro.experiments.registry import SweepCell
 
 __all__ = [
@@ -132,7 +132,8 @@ CANONICAL_OPERATIONAL_FIELDS = (
 #: Runner params that bound *how long* a cell may run, not *what* it
 #: computes.  :func:`cell_key` excludes exactly these from the hashed
 #: params (and the K302 lint rule checks the filter uses this manifest),
-#: so e.g. retrying with a different deadline still hits the cache.
+#: so e.g. retrying with a different deadline still hits the cache.  The
+#: registry's ``override`` also leaves these out of cell ids.
 NON_IDENTITY_PARAMS = ("deadline",)
 
 

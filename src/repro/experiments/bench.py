@@ -31,7 +31,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.experiments.registry import SweepCell, override_eval_mode, resolve
+from repro.experiments.registry import SweepCell, override, resolve
 from repro.experiments.sweeps import run_cell
 
 __all__ = [
@@ -92,8 +92,8 @@ def run_bench(
     canonical record must be identical (determinism self-check).
 
     ``eval_modes`` benches every cell once per listed evaluation path
-    (``override_eval_mode`` per cell, so non-default modes get their own
-    cell ids); the report's ``eval_speedup`` block derives, per base
+    (``override(eval_mode=...)`` per cell, so non-default modes get their
+    own cell ids); the report's ``eval_speedup`` block derives, per base
     cell, the wall-clock speedup of each non-scalar mode over scalar.
     Host provenance (python, numpy, platform, CPU count) is embedded so
     fast-path numbers stay attributable across machines; serial cells
@@ -108,9 +108,9 @@ def run_bench(
     for base_cell in cells:
         for mode in eval_modes:
             # Per-cell override (not over the whole list at once): the
-            # passthrough/dedup in override_eval_mode must never shift
+            # passthrough/dedup in override must never shift
             # the mode↔cell pairing.
-            cell = override_eval_mode([base_cell], mode)[0]
+            cell = override([base_cell], eval_mode=mode)[0]
             if warmup:
                 run_cell(cell)
             walls: list[float] = []

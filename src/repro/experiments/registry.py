@@ -29,6 +29,13 @@ to *build* such a list — independent integers spawned from one root seed
 via ``numpy.random.SeedSequence``, the same discipline as
 :mod:`repro.utils.rng` — e.g.
 ``resolve("table2", seeds=derive_seeds(1, 5))``.
+
+Run-time knobs
+--------------
+:data:`KNOBS` is the one table of what the CLI can force onto resolved
+cells (``--cluster``, ``--eval-mode``, ``--deadline``,
+``--inject-faults``, ``--on-rank-failure``); :func:`override` applies it
+and the CLI's flags, checks and artifact suffixes derive from it.
 """
 
 from __future__ import annotations
@@ -36,13 +43,17 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.experiments.artifacts import NON_IDENTITY_PARAMS
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
+from repro.parallel.faults import format_faults, parse_faults
 from repro.parallel.mpi.backend import CLUSTERS, validate_cluster
+from repro.parallel.mpi.mp_backend import RANK_FAILURE_POLICIES
 from repro.parallel.runners import ExperimentSpec
+from repro.sime.config import EVAL_MODES
 
 __all__ = [
     "Scenario",
@@ -58,11 +69,11 @@ __all__ = [
     "get_scenario",
     "resolve",
     "custom_sweep",
+    "Knob",
+    "KNOBS",
+    "override",
     "override_cluster",
-    "override_deadline",
     "override_eval_mode",
-    "override_faults",
-    "override_on_rank_failure",
     "base_spec",
     "scaled_iterations",
     "derive_seeds",
@@ -700,232 +711,144 @@ def _validate(strategy: str, params: Mapping[str, Any]) -> None:
         "fixed", "random", "contiguous"
     ):
         raise ValueError(f"unknown row pattern {params.get('pattern')!r}")
-    validate_cluster(params.get("cluster", "sim"))
-    if strategy == "profile" and "cluster" in params:
-        raise ValueError("the profile pseudo-strategy runs in-process only")
-    faults = params.get("faults")
-    if faults is not None:
-        if strategy in ("serial", "profile"):
-            raise ValueError(f"{strategy} cells cannot carry fault plans")
-        from repro.parallel.faults import parse_faults
-
-        parse_faults(faults)  # raises on malformed specs
-    policy = params.get("on_rank_failure")
-    if policy is not None:
-        if strategy not in ("type3", "type3x"):
-            raise ValueError(
-                "on_rank_failure applies to type3/type3x cells only"
-            )
-        from repro.parallel.mpi.mp_backend import RANK_FAILURE_POLICIES
-
-        if policy not in RANK_FAILURE_POLICIES:
-            raise ValueError(
-                f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-                f"got {policy!r}"
-            )
+    for knob in KNOBS.values():
+        if not knob.on_spec and knob.name in params:
+            knob.check(params[knob.name])
+            if not knob.applies(strategy, params):
+                raise ValueError(
+                    f"{knob.name} does not apply to a {strategy} cell: {knob.why}"
+                )
 
 
-_CLUSTER_IN_ID = re.compile(r"cluster=\w+")
+# ---------------------------------------------------------------------------
+# Run-time knobs: forced onto resolved cells by the CLI
+# ---------------------------------------------------------------------------
 
 
-def override_cluster(cells: Iterable[SweepCell], cluster: str) -> list[SweepCell]:
-    """Force every cell onto one cluster backend (``repro sweep --cluster``).
+def _positive_seconds(value: Any) -> float:
+    seconds = float(value)
+    if not seconds > 0:
+        raise ValueError(f"deadline must be positive, got {seconds}")
+    return seconds
 
-    Rewrites each cell's params and cell id so that runs of the same grid
-    on different backends never collide in artifacts or the resume cache
-    (the cache keys on params, so each backend caches independently).
-    ``profile`` cells run in-process and pass through untouched.  Cells
-    with no ``cluster`` param already run on ``sim``, so forcing ``sim``
-    leaves them (and their ids/cache keys) alone; a scenario that pins
-    several backends per point (``speedup``) collapses to one cell per
-    point — the rewrite never emits duplicate cell ids.
+
+@dataclass(frozen=True)
+class Knob:
+    """One run-time knob the CLI can force onto every cell of a grid.
+
+    ``parse`` (or else membership in ``choices``) validates a value and
+    returns its canonical form; ``applies(strategy, params)`` picks the
+    cells the knob means anything to, and ``why`` explains a refusal;
+    ``tag`` is the artifact-name suffix a forced value adds.  The value
+    lives on the spec (``on_spec``) or in the runner params, and is part
+    of the cell id unless listed in ``artifacts.NON_IDENTITY_PARAMS``.
     """
-    validate_cluster(cluster)
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy == "profile" or params.get("cluster", "sim") == cluster:
+
+    name: str
+    default: Any
+    applies: Callable[[str, Mapping[str, Any]], bool]
+    why: str
+    tag: Callable[[Any], str]
+    choices: tuple[str, ...] = ()
+    parse: Callable[[Any], Any] | None = None
+    on_spec: bool = False
+
+    def check(self, value: Any) -> Any:
+        if self.parse is not None:
+            return self.parse(value)
+        if value not in self.choices:
+            raise ValueError(
+                f"{self.name} must be one of {self.choices}, got {value!r}"
+            )
+        return value
+
+    def current(self, cell: SweepCell) -> Any:
+        """The value ``cell`` runs with."""
+        if self.on_spec:
+            return getattr(cell.spec, self.name)
+        return cell.params_dict().get(self.name, self.default)
+
+
+#: Every knob :func:`override` can force, in the order it applies them.
+KNOBS: dict[str, Knob] = {k.name: k for k in (
+    Knob("cluster", "sim", lambda strategy, params: strategy != "profile",
+         why="the profile pseudo-strategy runs in-process only",
+         tag=lambda v: f"-{v}", choices=CLUSTERS, parse=validate_cluster),
+    Knob("eval_mode", "scalar", lambda strategy, params: True, why="",
+         tag=lambda v: "" if v == "scalar" else f"-{v}",
+         choices=EVAL_MODES, on_spec=True),
+    Knob("deadline", None,
+         lambda strategy, params: (
+             strategy != "profile" and params.get("cluster", "sim") != "sim"
+         ),
+         why="only real-process cells (cluster=socket) run under a deadline",
+         tag=lambda v: "", parse=_positive_seconds),
+    Knob("faults", None,
+         lambda strategy, params: strategy in ("type1", "type2", "type3", "type3x"),
+         why="only the parallel strategies have ranks to fault",
+         tag=lambda v: "-faults",
+         parse=lambda v: format_faults(parse_faults(v))),
+    Knob("on_rank_failure", "abort",
+         lambda strategy, params: strategy in ("type3", "type3x"),
+         why="only type3/type3x can close out on the surviving ranks",
+         tag=lambda v: "" if v == "abort" else f"-{v}",
+         choices=RANK_FAILURE_POLICIES),
+)}
+
+
+def _with_param(cell_id: str, name: str, value: Any) -> str:
+    """``cell_id`` with its ``name=`` segment set to ``value``."""
+    segment = f"{name}={_fmt_param(value)}"
+    cid, n = re.subn(rf"(?<=[\[,]){name}=[^,\]]+", lambda m: segment, cell_id)
+    if n:
+        return cid
+    return f"{cid[:-1]},{segment}]" if cid.endswith("]") else f"{cid}[{segment}]"
+
+
+def override(cells: Iterable[SweepCell], **knobs: Any) -> list[SweepCell]:
+    """Force run-time knobs (see :data:`KNOBS`) onto every cell.
+
+    A ``None`` value forces nothing.  Per knob, a cell passes through
+    unchanged when the knob does not apply to it or it already runs with
+    the forced value (so forcing a default never moves ids or cache
+    keys); otherwise the value is written to its spec or params and, for
+    identity knobs, into its cell id, so runs with different values never
+    collide in artifacts or the resume cache.  Cells that collapse onto
+    the same id (e.g. ``speedup``'s per-backend twins under one forced
+    cluster) are deduplicated, first one kept.
+    """
+    unknown = sorted(set(knobs) - set(KNOBS))
+    if unknown:
+        raise TypeError(f"override() got unknown knob(s) {unknown}")
+    out = list(cells)
+    for knob in KNOBS.values():
+        if knobs.get(knob.name) is None:
+            continue
+        value = knob.check(knobs[knob.name])
+        forced, seen = [], set()
+        for cell in out:
+            params = cell.params_dict()
+            if knob.applies(cell.strategy, params) and knob.current(cell) != value:
+                if knob.on_spec:
+                    spec = replace(cell.spec, **{knob.name: value})
+                    cell = replace(cell, spec=spec)
+                else:
+                    params[knob.name] = value
+                    cell = replace(cell, params=tuple(sorted(params.items())))
+                if knob.name not in NON_IDENTITY_PARAMS:
+                    cid = _with_param(cell.cell_id, knob.name, value)
+                    cell = replace(cell, cell_id=cid)
             if cell.cell_id not in seen:
                 seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        params["cluster"] = cluster
-        cid = cell.cell_id
-        if _CLUSTER_IN_ID.search(cid):
-            cid = _CLUSTER_IN_ID.sub(f"cluster={cluster}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},cluster={cluster}]"
-        else:
-            cid = f"{cid}[cluster={cluster}]"
-        if cid in seen:
-            continue  # its own-backend twin is already in the list
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
+                forced.append(cell)
+        out = forced
     return out
 
 
-def override_deadline(
-    cells: Iterable[SweepCell], seconds: float
-) -> list[SweepCell]:
-    """Set the real backend's run deadline on every cell (``--deadline``).
-
-    Adds a ``deadline`` runner parameter to each cell whose effective
-    cluster is the real-process backend (``socket``); ``sim`` cells
-    and in-process ``profile`` cells pass through untouched — the
-    simulated cluster detects deadlock structurally instead of by
-    timeout.  The deadline is operational, not part of a cell's physics:
-    cell ids and resume-cache keys are unchanged (``cell_key`` excludes
-    it), so tightening a deadline never invalidates cached results.
-    """
-    if seconds <= 0:
-        raise ValueError(f"deadline must be positive, got {seconds}")
-    out: list[SweepCell] = []
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy == "profile" or params.get("cluster", "sim") == "sim":
-            out.append(cell)
-            continue
-        params["deadline"] = float(seconds)
-        out.append(replace(cell, params=tuple(sorted(params.items()))))
-    return out
-
-
-_EVAL_IN_ID = re.compile(r"eval_mode=\w+")
+# Single-knob spellings (the perf harness imports these two).
+def override_cluster(cells: Iterable[SweepCell], cluster: str) -> list[SweepCell]:
+    return override(cells, cluster=cluster)
 
 
 def override_eval_mode(cells: Iterable[SweepCell], mode: str) -> list[SweepCell]:
-    """Force every cell onto one evaluation path (``--eval-mode``).
-
-    Rewrites each cell's spec and cell id so scalar and batch runs of the
-    same grid never collide in artifacts or the resume cache (batch-mode
-    trajectories may legitimately diverge within the ulp budget, so the
-    two must cache independently).  Cells already on ``mode`` pass
-    through untouched — in particular forcing the default ``"scalar"``
-    leaves ids and cache keys alone.
-    """
-    from repro.sime.config import EVAL_MODES
-
-    if mode not in EVAL_MODES:
-        raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {mode!r}")
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        if cell.spec.eval_mode == mode:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        cid = cell.cell_id
-        if _EVAL_IN_ID.search(cid):
-            cid = _EVAL_IN_ID.sub(f"eval_mode={mode}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},eval_mode={mode}]"
-        else:
-            cid = f"{cid}[eval_mode={mode}]"
-        if cid in seen:
-            continue  # its own-mode twin is already in the list
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, spec=replace(cell.spec, eval_mode=mode)
-        ))
-    return out
-
-
-_FAULTS_IN_ID = re.compile(r"faults=[^,\]]+")
-
-
-def override_faults(cells: Iterable[SweepCell], faults: str) -> list[SweepCell]:
-    """Arm a fault-plan spec on every parallel cell (``--inject-faults``).
-
-    The plan is identity-affecting — an injected failure (or a degraded
-    survivor run) is a different result than a clean run — so each
-    rewritten cell gets the spec in both its params and its cell id, and
-    caches independently of its clean twin.  ``serial`` and ``profile``
-    cells have no cluster to fault and pass through untouched.  The spec
-    is validated here, before any process is spawned.
-    """
-    from repro.parallel.faults import format_faults, parse_faults
-
-    spec = format_faults(parse_faults(faults))  # validate + canonicalise
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        if cell.strategy in ("serial", "profile") or params.get("faults") == spec:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        params["faults"] = spec
-        cid = cell.cell_id
-        if _FAULTS_IN_ID.search(cid):
-            cid = _FAULTS_IN_ID.sub(f"faults={spec}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},faults={spec}]"
-        else:
-            cid = f"{cid}[faults={spec}]"
-        if cid in seen:
-            continue
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
-    return out
-
-
-_POLICY_IN_ID = re.compile(r"on_rank_failure=\w+")
-
-
-def override_on_rank_failure(
-    cells: Iterable[SweepCell], policy: str
-) -> list[SweepCell]:
-    """Set the rank-loss policy on type3/type3x cells (``--on-rank-failure``).
-
-    Identity-affecting like :func:`override_faults`: a degraded run's
-    outcome records the losses, so ``degrade`` cells must not share cache
-    entries with their abort twins.  Forcing the default ``"abort"``
-    leaves untouched cells (and their ids/cache keys) alone.  Strategies
-    without a master/survivor structure pass through unchanged — only
-    type3/type3x know how to continue at reduced p.
-    """
-    from repro.parallel.mpi.mp_backend import RANK_FAILURE_POLICIES
-
-    if policy not in RANK_FAILURE_POLICIES:
-        raise ValueError(
-            f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-            f"got {policy!r}"
-        )
-    out: list[SweepCell] = []
-    seen: set[str] = set()
-    for cell in cells:
-        params = cell.params_dict()
-        current = params.get("on_rank_failure", "abort")
-        if cell.strategy not in ("type3", "type3x") or current == policy:
-            if cell.cell_id not in seen:
-                seen.add(cell.cell_id)
-                out.append(cell)
-            continue
-        if policy == "abort":
-            params.pop("on_rank_failure", None)
-        else:
-            params["on_rank_failure"] = policy
-        cid = cell.cell_id
-        if _POLICY_IN_ID.search(cid):
-            if policy == "abort":
-                cid = re.sub(r",?on_rank_failure=\w+", "", cid)
-            else:
-                cid = _POLICY_IN_ID.sub(f"on_rank_failure={policy}", cid)
-        elif cid.endswith("]"):
-            cid = f"{cid[:-1]},on_rank_failure={policy}]"
-        else:
-            cid = f"{cid}[on_rank_failure={policy}]"
-        if cid in seen:
-            continue
-        seen.add(cid)
-        out.append(replace(
-            cell, cell_id=cid, params=tuple(sorted(params.items()))
-        ))
-    return out
+    return override(cells, eval_mode=mode)

@@ -5,7 +5,7 @@ that determines a cell's result** reaches the ``stable_hash`` cache key
 and the cell id.  PR 4 learned this the hard way (``run_esp`` rebuilt
 its spec field-by-field and silently dropped four knobs).  These rules
 cross-reference the identity dataclasses against explicit manifests and
-against the ``cell_key``/``canonical()``/``override_*`` call sites, so
+against the ``cell_key``/``canonical()``/``override`` call sites, so
 adding a field without threading it into the identity machinery is a
 lint error, not a silent cache collision.
 
@@ -15,8 +15,8 @@ The cross-referenced names (all checked purely from the AST):
 * ``RunRecord`` (experiments/artifacts.py) ↔
   ``CANONICAL_RESULT_FIELDS`` / ``CANONICAL_OPERATIONAL_FIELDS`` and the
   ``canonical()`` strip list;
-* every ``override_*`` knob ↔ ``NON_IDENTITY_PARAMS`` and the
-  ``cell_key`` exclusion filter.
+* every ``override_*`` alias ↔ the table-driven ``override``, and
+  ``NON_IDENTITY_PARAMS`` ↔ the ``cell_key`` exclusion filter.
 """
 
 from __future__ import annotations
@@ -166,64 +166,31 @@ class SpecIdentityManifest(ProjectRule):
 
 @register
 class OverrideKnobIdentity(ProjectRule):
-    """K302 — every override_* knob reaches params/spec and the cell id."""
+    """K302 — one knob override, and one audited cell_key exemption list."""
 
     id = "K302"
     invariant = (
-        "every override_* knob is threaded into the hashed params/spec "
-        "AND the cell id, or is declared operational in "
-        "NON_IDENTITY_PARAMS (and excluded from cell_key by that name)"
+        "every override_* function delegates to the table-driven "
+        "override(), and cell_key excludes exactly the params declared "
+        "in NON_IDENTITY_PARAMS"
     )
 
     def check_project(
         self, contexts: list[ModuleContext], model: ProjectModel
     ) -> Iterator[Finding]:
         exempt = set(model.manifest(PARAMS_EXEMPT) or ())
+        # A second knob implementation would re-grow its own id patching
+        # and identity rules; the aliases must stay one call to override().
         for name, fns in model.functions.items():
             if not name.startswith("override_"):
                 continue
-            knob = name[len("override_"):]
             for fn in fns:
-                if knob in exempt:
-                    continue
-                body = fn.node
-                rewrites_id = any(
-                    isinstance(sub, ast.Call)
-                    and any(k.arg == "cell_id" for k in sub.keywords)
-                    for sub in ast.walk(body)
-                )
-                writes_identity = any(
-                    (
-                        isinstance(sub, ast.Assign)
-                        and any(
-                            isinstance(t, ast.Subscript)
-                            and isinstance(t.value, ast.Name)
-                            and t.value.id == "params"
-                            for t in sub.targets
-                        )
-                    )
-                    or (
-                        isinstance(sub, ast.Call)
-                        and any(
-                            k.arg in ("params", "spec") for k in sub.keywords
-                        )
-                    )
-                    for sub in ast.walk(body)
-                )
-                if not writes_identity:
+                if not _calls_named(fn.node, ("override",)):
                     yield self.finding(
-                        fn.path, body,
-                        f"{name} never threads {knob!r} into the cell's "
-                        "params or spec: the knob changes results but not "
-                        "the stable_hash cache key (or declare it in "
-                        f"{PARAMS_EXEMPT} if it is purely operational)",
-                    )
-                if not rewrites_id:
-                    yield self.finding(
-                        fn.path, body,
-                        f"{name} never rewrites cell_id: cells with "
-                        f"different {knob!r} values collide in artifacts "
-                        "and renderers",
+                        fn.path, fn.node,
+                        f"{name} does not delegate to override(): a "
+                        "per-knob implementation can drift from the KNOBS "
+                        "table's cell-id and cache-key rules",
                     )
         # cell_key's param exclusions must be exactly the declared
         # operational knobs — a literal exclusion is invisible drift.

@@ -451,3 +451,73 @@ def test_sweep_eval_mode_tags_artifact(tmp_path, capsys):
     for rec in payload["records"]:
         assert "eval_mode=batch" in rec["cell_id"]
         assert rec["spec"]["eval_mode"] == "batch"
+
+
+# ------------------------------------------------------ shared knob flags
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--circuit", "s1196", "--strategy", "type2", "--p", "2",
+     "--cluster", "socket"],
+    ["sweep", "--smoke", "--no-cache"],
+    ["tables", "--table", "4", "--smoke"],
+])
+@pytest.mark.parametrize("bad, flag", [
+    (["--deadline", "0"], "--deadline"),
+    (["--deadline", "-1"], "--deadline"),
+    (["--max-retries", "-1"], "--max-retries"),
+    (["--inject-faults", "kill:when=3"], "--inject-faults"),
+])
+def test_bad_knob_value_is_a_usage_error(command, bad, flag, tmp_path, capsys):
+    """Every command rejects a bad knob value at parse time: exit 2 with
+    a message naming the flag, before any cell (or rank) runs."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(command + bad + ["--out", str(tmp_path)])
+    assert exc_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--strategy", "profile", "--cluster", "socket"], "--cluster"),
+    (["--deadline", "5"], "--deadline"),
+    (["--cluster", "socket", "--strategy", "profile", "--deadline", "5"],
+     "--cluster"),
+    (["--inject-faults", "kill:at=3"], "--inject-faults"),
+    (["--strategy", "type2", "--on-rank-failure", "degrade"],
+     "--on-rank-failure"),
+])
+def test_run_refuses_a_knob_its_cell_ignores(argv, flag, capsys):
+    assert main(["run", "--circuit", "s1196", *argv]) == 2
+    assert f"{flag} does not apply" in capsys.readouterr().err
+
+
+def test_run_accepts_knobs_at_their_defaults(monkeypatch):
+    """Forcing a knob's default value is a no-op, not a refusal."""
+    import repro.cli as cli
+
+    cells = []
+
+    def capture(cell, max_retries=0):
+        cells.append(cell)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_cell", capture)
+    with pytest.raises(SystemExit):
+        main(["run", "--circuit", "s1196", "--strategy", "profile",
+              "--cluster", "sim", "--on-rank-failure", "abort",
+              "--eval-mode", "scalar"])
+    assert [c.cell_id for c in cells] == ["s1196/seed1/profile"]
+    assert cells[0].params == ()
+
+
+def test_run_scenario_artifact_is_named_like_the_sweep_one(tmp_path, capsys):
+    """`repro run --scenario` suffixes forced knobs onto the artifact name,
+    so a batch run never overwrites the default `smoke.json`."""
+    assert main(["run", "--scenario", "smoke", "--out", str(tmp_path)]) == 0
+    assert main(["run", "--scenario", "smoke", "--eval-mode", "batch",
+                 "--out", str(tmp_path)]) == 0
+    default = json.loads((tmp_path / "smoke.json").read_text())
+    batch = json.loads((tmp_path / "smoke-batch.json").read_text())
+    assert {r["spec"]["eval_mode"] for r in default["records"]} == {"scalar"}
+    assert {r["spec"]["eval_mode"] for r in batch["records"]} == {"batch"}

@@ -1,4 +1,7 @@
-"""Violates K302: an override knob that never reaches cell identity."""
+"""Violates K302 once per half: a per-knob override that re-implements
+the table, and a cell_key exclusion by string literal."""
+
+NON_IDENTITY_PARAMS = ("deadline",)
 
 
 def override_gamma(cells, value):
@@ -7,3 +10,8 @@ def override_gamma(cells, value):
         cell.extras["gamma"] = value
         out.append(cell)
     return out
+
+
+def cell_key(cell):
+    params = {k: v for k, v in cell.params if k != "timeout"}
+    return repr((cell.strategy, params))

@@ -1,20 +1,17 @@
-"""Clean for K302: the knob reaches params and the cell id, or is exempt."""
-
-from dataclasses import replace
+"""Clean for K302: aliases delegate to override(); cell_key filters by
+the NON_IDENTITY_PARAMS manifest."""
 
 NON_IDENTITY_PARAMS = ("deadline",)
 
 
+def override(cells, **knobs):
+    return list(cells)
+
+
 def override_gamma(cells, value):
-    out = []
-    for cell in cells:
-        params = dict(cell.params)
-        params["gamma"] = value
-        out.append(
-            replace(cell, params=params, cell_id=f"{cell.cell_id}-g{value}")
-        )
-    return out
+    return override(cells, gamma=value)
 
 
-def override_deadline(cells, value):
-    return [replace(cell, deadline=value) for cell in cells]
+def cell_key(cell):
+    params = {k: v for k, v in cell.params if k not in NON_IDENTITY_PARAMS}
+    return repr((cell.strategy, params))

@@ -77,7 +77,8 @@ def test_c202_flags_each_construct():
 
 
 def test_k302_flags_both_halves():
-    # Knob missing from params/spec AND from the cell id: two findings.
+    # A non-delegating override_* alias AND a literal cell_key
+    # exclusion: one finding per half.
     assert len(run_rule("K302", "k302_bad.py")) == 2
 
 
