@@ -37,6 +37,7 @@ records.  Failed records are never cached — resume always re-runs them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import threading
@@ -234,6 +235,19 @@ class RunRecord:
         }
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a process- and thread-unique tmp sibling of
+    ``path``, then ``os.replace`` it in: readers see the old file or the
+    new one, never a torn one.  A failed write removes the tmp file."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ArtifactStore:
     """Reads and writes sweep artifacts under one root directory."""
 
@@ -246,7 +260,11 @@ class ArtifactStore:
         records: Sequence[RunRecord],
         meta: dict[str, Any] | None = None,
     ) -> tuple[Path, Path]:
-        """Write ``<name>.json`` and ``<name>.csv``; returns both paths."""
+        """Write ``<name>.json`` and ``<name>.csv``; returns both paths.
+
+        Each file is replaced atomically: a save that dies midway leaves
+        the previous artifact loadable.
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         json_path = self.root / f"{name}.json"
         csv_path = self.root / f"{name}.csv"
@@ -254,12 +272,12 @@ class ArtifactStore:
             "meta": meta or {},
             "records": [r.to_dict() for r in records],
         }
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-            writer.writeheader()
-            for r in records:
-                writer.writerow(r.csv_row())
+        _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True))
+        rows = io.StringIO()
+        writer = csv.DictWriter(rows, fieldnames=list(CSV_COLUMNS))
+        writer.writeheader()
+        writer.writerows(r.csv_row() for r in records)
+        _atomic_write(csv_path, rows.getvalue())
         return json_path, csv_path
 
     def load(self, name_or_path: str | Path) -> tuple[dict[str, Any], list[RunRecord]]:
@@ -386,9 +404,6 @@ class CellCache:
             return None
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(cell)
-        tmp = path.with_suffix(
-            f".tmp{os.getpid()}-{threading.get_ident()}"
-        )
         lock_fh = None
         if fcntl is not None:
             lock_dir = self.root / ".locks"
@@ -398,12 +413,11 @@ class CellCache:
         try:
             if self._has_valid_entry(path):
                 return path
-            tmp.write_text(json.dumps(
+            _atomic_write(path, json.dumps(
                 {"key": path.stem, "version": version_key(),
                  "record": record.to_dict()},
                 indent=2, sort_keys=True,
             ))
-            os.replace(tmp, path)
         finally:
             if lock_fh is not None:
                 fcntl.flock(lock_fh, fcntl.LOCK_UN)

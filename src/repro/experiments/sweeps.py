@@ -4,14 +4,14 @@ Takes the :class:`~repro.experiments.registry.SweepCell` lists the registry
 resolves and runs them through a :class:`SweepBackend`:
 
 * :class:`SerialBackend` — in-process, one cell at a time;
-* :class:`ProcessPoolBackend` — one cell per :class:`ProcessPoolExecutor`
-  task (maximum parallelism, per-task pickling/setup overhead);
 * :class:`ChunkedBackend` — cells batched into contiguous chunks, one
-  chunk per pool task.  Cells of one scenario arrive grouped by circuit
-  (the registry's resolution order), so a chunk's cells share the worker
-  process's single-flight circuit/grid/initial-placement caches — the
-  per-process setup that dominates small cells is paid once per chunk
-  instead of once per cell.
+  chunk per :class:`ProcessPoolExecutor` task.  Cells of one scenario
+  arrive grouped by circuit (the registry's resolution order), so a
+  chunk's cells share the worker process's single-flight
+  circuit/grid/initial-placement caches — the per-process setup that
+  dominates small cells is paid once per chunk instead of once per cell;
+* :class:`ProcessPoolBackend` — the chunked backend at chunk size 1:
+  one cell per pool task (maximal fan-out, per-cell setup cost).
 
 Each cell is a pure function of its spec and parameters (all randomness
 flows from ``spec.seed`` through :mod:`repro.utils.rng` streams), so every
@@ -295,59 +295,6 @@ class SerialBackend:
         return records
 
 
-class ProcessPoolBackend:
-    """One pool task per cell: maximal fan-out, per-cell setup cost."""
-
-    name = "process"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        max_retries: int = 0,
-    ):
-        self.workers = workers
-        self.max_retries = max_retries
-
-    def run(
-        self, cells: Sequence[SweepCell], progress: ProgressFn | None = None
-    ) -> list[RunRecord]:
-        total = len(cells)
-        if not total:
-            return []
-        slots: list[RunRecord | None] = [None] * total
-        done = 0
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            last_event = time.perf_counter()
-            futures = {
-                pool.submit(run_cell, c, self.max_retries): i
-                for i, c in enumerate(cells)
-            }
-            # Report completions as they happen (a slow head cell must not
-            # make the whole sweep look hung) while keeping result order.
-            for future in as_completed(futures):
-                i = futures[future]
-                now = time.perf_counter()
-                try:
-                    record = future.result()
-                except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                    # Charge the wall time observed since the previous
-                    # pool event — the best available bound on how long
-                    # this failure occupied the sweep.  0.0 would
-                    # undercount it; time-since-pool-start would charge a
-                    # late failure the whole sweep so far.
-                    record = _failure_record(
-                        cells[i], f"{type(exc).__name__}: {exc}",
-                        now - last_event,
-                    )
-                last_event = now
-                slots[i] = record
-                done += 1
-                if progress:
-                    progress(done, total, record)
-        return [r for r in slots if r is not None]
-
-
 class ChunkedBackend:
     """Contiguous chunks of cells per pool task (amortized worker setup)."""
 
@@ -392,16 +339,18 @@ class ChunkedBackend:
                 pool.submit(_run_chunk, chunk, self.max_retries): k
                 for k, chunk in enumerate(chunks)
             }
+            # Report completions as they happen (a slow head chunk must
+            # not make the whole sweep look hung) while keeping order.
             for future in as_completed(futures):
                 k = futures[future]
                 now = time.perf_counter()
                 try:
                     records = future.result()
                 except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                    # Same accounting as ProcessPoolBackend: the chunk is
-                    # charged the observed time since the last pool event,
-                    # split evenly over its cells (not duplicated onto
-                    # each — summed wall time must stay meaningful).
+                    # Charge the wall time observed since the previous pool
+                    # event (0.0 would undercount the failure; time since
+                    # pool start would charge a late one the whole sweep),
+                    # split evenly over the chunk's cells, not duplicated.
                     elapsed = (now - last_event) / max(1, len(chunks[k]))
                     records = [
                         _failure_record(c, f"{type(exc).__name__}: {exc}", elapsed)
@@ -414,6 +363,15 @@ class ChunkedBackend:
                     if progress:
                         progress(done, total, record)
         return [r for r in slots if r is not None]
+
+
+class ProcessPoolBackend(ChunkedBackend):
+    """The chunked backend pinned to chunk size 1: one pool task per cell."""
+
+    name = "process"
+
+    def _resolve_chunk_size(self, n_cells: int) -> int:
+        return 1
 
 
 BACKENDS: dict[str, type] = {

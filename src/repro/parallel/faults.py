@@ -16,9 +16,10 @@ replayable input:
   and never rank 0, which the master-style strategies cannot lose
   without the whole run aborting trivially;
 * the plan is threaded through ``make_cluster``; each cluster arms it on
-  every rank's communicator by counting that rank's comm operations and
-  firing when the count reaches ``at`` — the firing point is a property
-  of the SPMD code path, not of wall-clock timing.
+  every rank's communicator as the first hook of the comm interceptor
+  chain (:mod:`repro.parallel.intercept`), which counts that rank's comm
+  operations and fires when the count reaches ``at`` — the firing point
+  is a property of the SPMD code path, not of wall-clock timing.
 
 Fault kinds
 -----------
@@ -28,8 +29,9 @@ Fault kinds
     cluster, whose ranks are threads).
 ``wedge``
     The victim SIGSTOPs itself — the process lives but stops
-    heartbeating, exercising the liveness monitor.  Exception-mode
-    backends raise :class:`InjectedFault` instead.
+    heartbeating, exercising the socket backend's heartbeat monitor
+    (:class:`~repro.parallel.mpi.socket_backend.LivenessMonitor`).
+    Exception-mode backends raise :class:`InjectedFault` instead.
 ``disconnect``
     The victim closes its transport connection without dying — the
     socket backend's reconnect path re-admits it; backends with no
@@ -60,15 +62,16 @@ import os
 import signal
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any
 
+from repro.parallel.intercept import Hook
 from repro.parallel.mpi.comm import CommError
 from repro.utils.hashing import stable_hash
 
 __all__ = [
     "Fault",
     "FaultPlan",
-    "FaultedFn",
+    "FaultHook",
     "InjectedFault",
     "FAULT_KINDS",
     "KILL_EXIT",
@@ -240,60 +243,53 @@ class FaultPlan:
             resolved.append(fault)
         return replace(self, faults=tuple(resolved))
 
-    def arm(self, comm: Any, mode: str = "exception") -> None:
-        """Install this plan on ``comm`` (wraps its comm ops in place).
+    def hook(self, comm: Any, mode: str = "exception") -> "FaultHook | None":
+        """This plan's interceptor-chain hook for ``comm``'s rank.
 
-        ``mode="process"`` enacts kills/wedges at the OS level
-        (``os._exit`` / self-SIGSTOP); ``mode="exception"`` raises
-        :class:`InjectedFault` instead — the only option on the simulated
-        cluster, whose ranks are threads of one process.  Ranks the plan
-        does not target are untouched.  Must be called with an already
-        :meth:`resolve`-d plan.
+        ``None`` when the plan spares the rank.  ``mode="process"`` enacts
+        kills/wedges at the OS level (``os._exit`` / self-SIGSTOP);
+        ``mode="exception"`` raises :class:`InjectedFault` instead — the
+        only option on the simulated cluster, whose ranks are threads of
+        one process.  Must be called on an already :meth:`resolve`-d plan.
         """
         mine = sorted(
             (f for f in self.faults if f.rank == comm.rank),
             key=lambda f: (f.at, FAULT_KINDS.index(f.kind)),
         )
-        if not mine:
-            return
-        # depth guards re-entrancy: backends that implement collectives
-        # over their own send/recv must still count one op per *public*
-        # call, or the firing point would depend on the backend.
-        counters = {"ops": 0, "sends": 0, "depth": 0}
-        pending = list(mine)
+        return FaultHook(mine, comm, mode) if mine else None
 
-        def fire_due(is_send: bool) -> bool:
-            dropped = False
-            for fault in list(pending):
-                if fault.kind in ("drop", "delay"):
-                    if not (is_send and counters["sends"] == fault.at):
-                        continue
-                elif counters["ops"] != fault.at:
+
+class FaultHook(Hook):
+    """One rank's armed faults: the first hook of the comm chain.
+
+    The chain calls :meth:`before` once per *public* op (collectives a
+    backend builds over its own send/recv count once), so the firing
+    point is the same on every backend.
+    """
+
+    def __init__(self, faults: list[Fault], comm: Any, mode: str):
+        self.pending = list(faults)
+        self.comm = comm
+        self.mode = mode
+        self.ops = 0
+        self.sends = 0
+
+    def before(self, op: str, args: tuple, kwargs: dict) -> bool:
+        """Count the op, fire due faults; True drops the current send."""
+        is_send = op == "send"
+        self.ops += 1
+        if is_send:
+            self.sends += 1
+        dropped = False
+        for fault in list(self.pending):
+            if fault.kind in ("drop", "delay"):
+                if not (is_send and self.sends == fault.at):
                     continue
-                pending.remove(fault)
-                dropped |= _enact(fault, comm, mode)
-            return dropped
-
-        def wrap(base: Callable[..., Any], is_send: bool) -> Callable[..., Any]:
-            def wrapped(*args: Any, **kwargs: Any) -> Any:
-                if counters["depth"]:
-                    return base(*args, **kwargs)
-                counters["ops"] += 1
-                if is_send:
-                    counters["sends"] += 1
-                if fire_due(is_send) and is_send:
-                    return None  # frame dropped on the floor
-                counters["depth"] += 1
-                try:
-                    return base(*args, **kwargs)
-                finally:
-                    counters["depth"] -= 1
-
-            return wrapped
-
-        comm.send = wrap(comm.send, is_send=True)
-        for op in ("recv", "bcast", "scatter", "gather", "barrier"):
-            setattr(comm, op, wrap(getattr(comm, op), is_send=False))
+            elif self.ops != fault.at:
+                continue
+            self.pending.remove(fault)
+            dropped |= _enact(fault, self.comm, self.mode)
+        return dropped
 
 
 def _enact(fault: Fault, comm: Any, mode: str) -> bool:
@@ -334,21 +330,3 @@ def as_plan(
     if faults is None or isinstance(faults, FaultPlan):
         return faults
     return FaultPlan.parse(faults, seed=seed).for_attempt(1)
-
-
-class FaultedFn:
-    """Picklable SPMD wrapper that arms a fault plan before running ``fn``.
-
-    Clusters wrap the user's function with this so the plan travels to
-    every rank (including across a ``spawn`` pickle boundary) and is
-    armed on that rank's communicator before any strategy code runs.
-    """
-
-    def __init__(self, fn: Callable[..., Any], plan: FaultPlan, mode: str):
-        self.fn = fn
-        self.plan = plan
-        self.mode = mode
-
-    def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
-        self.plan.arm(comm, mode=self.mode)
-        return self.fn(comm, *args, **kwargs)

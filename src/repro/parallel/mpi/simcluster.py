@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.cost.workmeter import WorkMeter, WorkModel
+from repro.parallel.intercept import chained
 from repro.parallel.mpi.comm import (
     ANY_SOURCE,
     CommError,
@@ -211,14 +212,7 @@ class SimCluster:
         """
         if per_rank_kwargs is not None and len(per_rank_kwargs) != self.size:
             raise ValueError("per_rank_kwargs must have one entry per rank")
-        if self.faults is not None:
-            from repro.parallel.faults import FaultedFn
-
-            fn = FaultedFn(fn, self.faults.resolve(self.size), mode="exception")
-        if self.trace_dir is not None:
-            from repro.parallel.trace import TracedFn
-
-            fn = TracedFn(fn, self.trace_dir)
+        fn = chained(fn, self, mode="exception")
         results: list[Any] = [None] * self.size
         errors: list[BaseException | None] = [None] * self.size
 
@@ -448,6 +442,10 @@ class SimCluster:
             if len(coll["entries"]) == self.size:
                 self._finish_collective(coll)
                 self._coll = None
+                # Every member is released now, before its thread wakes
+                # to take its result: it must not count as blocked.
+                for member in coll["entries"]:
+                    self._ranks[member].state = _RUNNING
             else:
                 st.state = _BLOCKED_COLL
                 while gen not in self._coll_results:

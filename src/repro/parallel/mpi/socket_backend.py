@@ -69,6 +69,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cost.workmeter import WorkMeter, WorkModel
+from repro.parallel.intercept import chained
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
 from repro.parallel.mpi.commbase import BufferedComm
 from repro.parallel.mpi.message import (
@@ -506,14 +507,7 @@ class SocketCluster:
         """
         if per_rank_kwargs is not None and len(per_rank_kwargs) != self.size:
             raise ValueError("per_rank_kwargs must have one entry per rank")
-        if self.faults is not None:
-            from repro.parallel.faults import FaultedFn
-
-            fn = FaultedFn(fn, self.faults.resolve(self.size), mode="process")
-        if self.trace_dir is not None:
-            from repro.parallel.trace import TracedFn
-
-            fn = TracedFn(fn, self.trace_dir)
+        fn = chained(fn, self, mode="process")
         ctx = mp.get_context(self.start_method)
         # Per-run session token: a reconnecting rank must present it with
         # its re-HELLO, so a stray client (or a rank from a previous run

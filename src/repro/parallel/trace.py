@@ -1,14 +1,13 @@
 """Canonical comm-event traces: the dynamic half of ``repro commcheck``.
 
-:class:`CommTraceRecorder` wraps a communicator's six public comm ops —
-``send``/``recv``/``bcast``/``scatter``/``gather``/``barrier`` — with the
-same depth-guarded in-place wrapping the fault-injection layer uses
-(:meth:`repro.parallel.faults.FaultPlan.arm`), so exactly one event is
-recorded per *public* op on every backend, regardless of how a backend
-implements its collectives internally.  Each rank records locally (no
-payload is touched, no extra message flows, no RNG is consumed), so a
-traced run is bit-identical to an untraced one; the recorder is off by
-default and enabled per run via ``make_cluster(..., trace_dir=...)``.
+:class:`CommTraceRecorder` is the last hook of the comm interceptor
+chain (:mod:`repro.parallel.intercept`), which calls it once per *public*
+op — ``send``/``recv``/``bcast``/``scatter``/``gather``/``barrier`` —
+that returned, regardless of how a backend implements its collectives
+internally.  Each rank records locally (no payload is touched, no extra
+message flows, no RNG is consumed), so a traced run is bit-identical to
+an untraced one; the recorder is off by default and enabled per run via
+``make_cluster(..., trace_dir=...)``.
 
 The trace is one JSONL file per rank (``rank-N.jsonl``) of canonical
 event records:
@@ -31,29 +30,22 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-__all__ = ["CommTraceRecorder", "TracedFn", "TRACE_OPS", "load_trace"]
+from repro.parallel import intercept
+from repro.parallel.intercept import Hook
 
-#: The public comm ops, in the order they are wrapped.
-TRACE_OPS = ("send", "recv", "bcast", "scatter", "gather", "barrier")
-
-def _wrapper_files() -> tuple[str, ...]:
-    """Files whose frames are skipped when attributing an event's call
-    site: the recorder's own wrappers and the fault-injection wrappers
-    both sit between the strategy code and the real op."""
-    try:
-        from repro.parallel import faults
-
-        return (__file__, faults.__file__)
-    except ImportError:  # pragma: no cover - faults is a sibling module
-        return (__file__,)
+__all__ = ["CommTraceRecorder", "load_trace"]
 
 
-def _call_site(skip: tuple[str, ...]) -> tuple[str, int]:
-    """(file, line) of the nearest frame outside the wrapper layers."""
+def _call_site() -> tuple[str, int]:
+    """(file, line) of the op's caller: the nearest frame outside the chain.
+
+    Called from :meth:`CommTraceRecorder.after`, whose caller is the
+    chain's wrapper.
+    """
     frame = sys._getframe(2)
-    while frame is not None and frame.f_code.co_filename in skip:
+    while frame is not None and frame.f_code.co_filename == intercept.__file__:
         frame = frame.f_back
     if frame is None:  # pragma: no cover - there is always a caller
         return "<unknown>", 0
@@ -67,69 +59,41 @@ def _label_of(obj: Any) -> str | None:
     return None
 
 
-class CommTraceRecorder:
+class CommTraceRecorder(Hook):
     """Records one canonical event per public comm op on one rank.
 
-    ``arm()`` wraps the comm's ops in place (instance attributes shadow
-    the bound methods, the same mechanism ``FaultPlan.arm`` uses); the
-    depth counter ensures collectives implemented over the backend's own
-    ``send``/``recv`` still record exactly one event.
+    Only ops that returned reach :meth:`after`: the trace is the set of
+    events that actually happened on the wire.
     """
 
-    def __init__(self, comm: Any):
-        self.comm = comm
+    def __init__(self) -> None:
         self.events: list[dict[str, Any]] = []
-        self._depth = 0
-        self._skip = _wrapper_files()
 
-    # -- recording --------------------------------------------------------
-
-    def _record(self, record: dict[str, Any]) -> None:
+    def after(self, op: str, args: tuple, kwargs: dict, result: Any) -> None:
+        record: dict[str, Any]
+        if op == "send":
+            obj = args[0] if args else kwargs.get("obj")
+            dest = args[1] if len(args) > 1 else kwargs.get("dest")
+            tag = args[2] if len(args) > 2 else kwargs.get("tag", 0)
+            record = {
+                "op": "send", "dst": dest, "tag": tag, "label": _label_of(obj),
+            }
+        elif op == "recv":
+            req = args[0] if args else kwargs.get("source", -1)
+            tag = args[1] if len(args) > 1 else kwargs.get("tag", 0)
+            src, obj = result
+            record = {
+                "op": "recv", "req": req, "tag": tag, "src": src,
+                "label": _label_of(obj),
+            }
+        elif op == "barrier":
+            record = {"op": "barrier", "root": 0}
+        else:  # bcast / scatter / gather
+            root = args[1] if len(args) > 1 else kwargs.get("root", 0)
+            record = {"op": op, "root": root}
         record["i"] = len(self.events)
-        record["file"], record["line"] = _call_site(self._skip)
+        record["file"], record["line"] = _call_site()
         self.events.append(record)
-
-    def _wrap(self, op: str, base: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapped(*args: Any, **kwargs: Any) -> Any:
-            if self._depth:
-                return base(*args, **kwargs)
-            self._depth += 1
-            try:
-                result = base(*args, **kwargs)
-            finally:
-                self._depth -= 1
-            # Only successful ops are recorded: the trace is the set of
-            # events that actually happened on the wire.
-            if op == "send":
-                obj = args[0] if args else kwargs.get("obj")
-                dest = args[1] if len(args) > 1 else kwargs.get("dest")
-                tag = args[2] if len(args) > 2 else kwargs.get("tag", 0)
-                self._record({
-                    "op": "send", "dst": dest, "tag": tag,
-                    "label": _label_of(obj),
-                })
-            elif op == "recv":
-                req = args[0] if args else kwargs.get("source", -1)
-                tag = args[1] if len(args) > 1 else kwargs.get("tag", 0)
-                src, obj = result
-                self._record({
-                    "op": "recv", "req": req, "tag": tag, "src": src,
-                    "label": _label_of(obj),
-                })
-            elif op == "barrier":
-                self._record({"op": "barrier", "root": 0})
-            else:  # bcast / scatter / gather
-                root = args[1] if len(args) > 1 else kwargs.get("root", 0)
-                self._record({"op": op, "root": root})
-            return result
-
-        return wrapped
-
-    def arm(self) -> None:
-        for op in TRACE_OPS:
-            setattr(self.comm, op, self._wrap(op, getattr(self.comm, op)))
-
-    # -- persistence ------------------------------------------------------
 
     def dump(self, path: str | Path) -> None:
         """Write this rank's trace as one JSON record per line."""
@@ -138,30 +102,6 @@ class CommTraceRecorder:
         with p.open("w", encoding="utf-8") as fh:
             for ev in self.events:
                 fh.write(json.dumps(ev, sort_keys=True) + "\n")
-
-
-class TracedFn:
-    """Picklable SPMD wrapper that records a comm trace around ``fn``.
-
-    Mirrors :class:`repro.parallel.faults.FaultedFn`: clusters wrap the
-    user's function with this so the recorder travels to every rank
-    (including across a ``spawn`` pickle boundary), is armed on that
-    rank's communicator before any strategy code runs, and dumps
-    ``<trace_dir>/rank-N.jsonl`` when the rank finishes — including on
-    the error path, so a partial trace of a failed rank survives.
-    """
-
-    def __init__(self, fn: Callable[..., Any], trace_dir: str):
-        self.fn = fn
-        self.trace_dir = str(trace_dir)
-
-    def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> Any:
-        recorder = CommTraceRecorder(comm)
-        recorder.arm()
-        try:
-            return self.fn(comm, *args, **kwargs)
-        finally:
-            recorder.dump(Path(self.trace_dir) / f"rank-{comm.rank}.jsonl")
 
 
 def load_trace(trace_dir: str | Path) -> dict[int, list[dict[str, Any]]]:

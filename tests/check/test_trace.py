@@ -9,7 +9,8 @@ import pickle
 
 import pytest
 
-from repro.parallel.trace import CommTraceRecorder, TracedFn, load_trace
+from repro.parallel.intercept import InterceptedFn, intercept
+from repro.parallel.trace import CommTraceRecorder, load_trace
 from repro.parallel.type3 import run_type3
 
 
@@ -44,8 +45,8 @@ class FakeComm:
 
 def test_recorder_captures_op_peer_tag_and_label():
     comm = FakeComm()
-    rec = CommTraceRecorder(comm)
-    rec.arm()
+    rec = CommTraceRecorder()
+    intercept(comm, [rec])
     comm.send(("work", 1), 2, tag=5)
     comm.recv(source=-1, tag=5)
     events = rec.events
@@ -59,8 +60,8 @@ def test_recorder_captures_op_peer_tag_and_label():
 
 def test_depth_guard_hides_collective_internals():
     comm = FakeComm()
-    rec = CommTraceRecorder(comm)
-    rec.arm()
+    rec = CommTraceRecorder()
+    intercept(comm, [rec])
     comm.bcast(("rows",), root=0)
     assert [e["op"] for e in rec.events] == ["bcast"]
     # ... but the inner recv really ran.
@@ -69,8 +70,8 @@ def test_depth_guard_hides_collective_internals():
 
 def test_call_site_attribution_points_here():
     comm = FakeComm()
-    rec = CommTraceRecorder(comm)
-    rec.arm()
+    rec = CommTraceRecorder()
+    intercept(comm, [rec])
     comm.send(("x",), 1)
     assert rec.events[0]["file"].endswith("test_trace.py")
 
@@ -81,7 +82,7 @@ def _worker(comm, base):
 
 
 def test_traced_fn_survives_pickling(tmp_path):
-    fn = TracedFn(_worker, str(tmp_path))
+    fn = InterceptedFn(_worker, trace_dir=str(tmp_path))
     clone = pickle.loads(pickle.dumps(fn))
     comm = FakeComm()
     assert clone(comm, 7) == 7
@@ -91,8 +92,8 @@ def test_traced_fn_survives_pickling(tmp_path):
 
 def test_dump_and_load_roundtrip(tmp_path):
     comm = FakeComm()
-    rec = CommTraceRecorder(comm)
-    rec.arm()
+    rec = CommTraceRecorder()
+    intercept(comm, [rec])
     comm.send(("x",), 1, tag=2)
     rec.dump(tmp_path / "rank-0.jsonl")
     traces = load_trace(tmp_path)

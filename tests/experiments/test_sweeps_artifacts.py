@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +230,60 @@ def test_artifact_store_load_keeps_subdirectories(tmp_path):
     sub.save("tiny", records)
     _, loaded = store.load("runs/tiny")
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+
+class _DiskFillsUp:
+    """A text file that takes ``budget`` characters, then raises ENOSPC."""
+
+    def __init__(self, fh, budget):
+        self._fh = fh
+        self._budget = budget
+
+    def write(self, text):
+        if len(text) > self._budget:
+            self._fh.write(text[:self._budget])
+            raise OSError(28, "No space left on device")
+        self._budget -= len(text)
+        return self._fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_artifact_save_that_fails_midway_keeps_the_previous_artifact(
+    tmp_path, monkeypatch,
+):
+    store = ArtifactStore(tmp_path)
+    records = [run_cell(_tiny_cells()[0])]
+    store.save("tiny", records, meta={"run": 1})
+    old_json = (tmp_path / "tiny.json").read_bytes()
+    old_csv = (tmp_path / "tiny.csv").read_bytes()
+
+    real_open = Path.open
+
+    def open_on_a_full_disk(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if "w" in mode and path.name.startswith("tiny.json"):
+            return _DiskFillsUp(fh, budget=200)
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_on_a_full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        store.save("tiny", records * 2, meta={"run": 2})
+    monkeypatch.undo()
+
+    meta, loaded = store.load("tiny")
+    assert meta == {"run": 1}
+    assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+    assert (tmp_path / "tiny.json").read_bytes() == old_json
+    assert (tmp_path / "tiny.csv").read_bytes() == old_csv
+    assert not list(tmp_path.glob("*.tmp*"))
 
 
 def test_render_records_lists_failures():

@@ -148,6 +148,24 @@ def test_deadlock_detected():
         SimCluster(2, network=NET).run(prog)
 
 
+def test_p2p_right_after_a_collective_is_not_a_deadlock():
+    """A rank released from a collective is running, not blocked, even
+    before its thread wakes: a peer that races ahead into a recv it
+    will answer must not see a deadlock."""
+
+    def prog(comm):
+        comm.scatter(list(range(comm.size)) if comm.rank == 0 else None)
+        if comm.rank == 0:
+            comm.send("ping", 1)
+            return comm.recv(1)[1]
+        comm.recv(0)
+        comm.send("pong", 0)
+        return None
+
+    for _ in range(10):
+        assert SimCluster(2, network=NET).run(prog).results == ["pong", None]
+
+
 def test_collective_mismatch_detected():
     def prog(comm):
         if comm.rank == 0:

@@ -9,9 +9,10 @@ import pytest
 
 from repro.netlist.generator import CircuitSpec
 from repro.netlist.suite import PAPER_CIRCUITS, paper_circuit
-from repro.parallel.mpi.simcluster import SimCluster, _SimComm
+from repro.parallel.mpi.simcluster import SimCluster
 from repro.parallel.runners import ExperimentSpec
 from repro.parallel import type1, type2, type3
+from repro.parallel.trace import load_trace
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -26,60 +27,37 @@ def tiny_suite_entry():
     paper_circuit.cache_clear()
 
 
-class _Tracer:
-    """Wraps a communicator and logs primitive names."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.log: list[str] = []
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name in ("send", "recv", "bcast", "scatter", "gather", "barrier"):
-            def wrapper(*a, **kw):
-                self.log.append(name)
-                return attr(*a, **kw)
-
-            return wrapper
-        return attr
-
-
-def _trace(spmd, p, **kwargs):
-    logs: dict[int, list[str]] = {}
-
-    def wrapped(comm, **kw):
-        tracer = _Tracer(comm)
-        out = spmd(tracer, **kw)
-        logs[comm.rank] = tracer.log
-        return out
-
-    SimCluster(p).run(wrapped, kwargs=kwargs)
-    return logs
+def _trace(spmd, p, trace_dir, **kwargs):
+    """Per-rank op names, as the comm-event recorder saw them."""
+    SimCluster(p, trace_dir=str(trace_dir)).run(spmd, kwargs=kwargs)
+    traces = load_trace(trace_dir)
+    assert sorted(traces) == list(range(p))
+    return {rank: [ev["op"] for ev in events] for rank, events in traces.items()}
 
 
 SPEC = ExperimentSpec(circuit="_trace", iterations=3, seed=1)
 
 
-def test_type1_trace_matches_figures_2_and_3():
+def test_type1_trace_matches_figures_2_and_3(tmp_path):
     """Figure 2/3: per iteration, one placement broadcast and one goodness
     gather; no other traffic.  (+1 closing evaluation-only round.)"""
-    logs = _trace(type1._spmd, 3, spec=SPEC, iterations=3)
+    logs = _trace(type1._spmd, 3, tmp_path, spec=SPEC, iterations=3)
     for rank, log in logs.items():
         assert log == ["bcast", "gather"] * 4, (rank, log)
 
 
-def test_type2_trace_matches_figures_4_and_5():
+def test_type2_trace_matches_figures_4_and_5(tmp_path):
     """Figure 4/5: per iteration, broadcast of (placement, row indices) and
     gather of partial placement rows."""
-    logs = _trace(type2._spmd, 3, spec=SPEC, iterations=3, pattern="fixed")
+    logs = _trace(type2._spmd, 3, tmp_path, spec=SPEC, iterations=3, pattern="fixed")
     for rank, log in logs.items():
         assert log == ["bcast", "gather"] * 3, (rank, log)
 
 
-def test_type3_trace_matches_figure_6():
+def test_type3_trace_matches_figure_6(tmp_path):
     """Figure 6: slaves send reports/requests and a final done; the master
     only receives and replies (no collectives anywhere)."""
-    logs = _trace(type3._spmd, 3, spec=SPEC, iterations=4, retry_threshold=1)
+    logs = _trace(type3._spmd, 3, tmp_path, spec=SPEC, iterations=4, retry_threshold=1)
     master = logs[0]
     assert set(master) <= {"recv", "send"}
     assert master.count("recv") >= 2  # at least the two DONEs
