@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.parallel import intercept
-from repro.parallel.intercept import Hook
 
 __all__ = ["CommTraceRecorder", "load_trace"]
 
@@ -59,7 +58,7 @@ def _label_of(obj: Any) -> str | None:
     return None
 
 
-class CommTraceRecorder(Hook):
+class CommTraceRecorder(intercept.Hook):
     """Records one canonical event per public comm op on one rank.
 
     Only ops that returned reach :meth:`after`: the trace is the set of
