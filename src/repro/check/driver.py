@@ -45,6 +45,8 @@ def _runs(p: int) -> list[
 
     # retry_threshold=1 provokes the REQUEST/reply path of the store
     # protocol, so the funnel race and the reply send are both exercised.
+    # type3x runs type3's store and searcher, so its trace is admitted
+    # against the type3 protocol.
     return [
         ("type1", "type1",
          lambda spec, td: run_type1(spec, p=p, trace_dir=td)),
@@ -53,7 +55,7 @@ def _runs(p: int) -> list[
         ("type3", "type3",
          lambda spec, td: run_type3(spec, p=p, retry_threshold=1,
                                     trace_dir=td)),
-        ("type3x", "type3x",
+        ("type3x", "type3",
          lambda spec, td: run_type3_diversified(
              spec, p=p, retry_threshold=1, trace_dir=td)),
     ]

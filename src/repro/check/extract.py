@@ -6,8 +6,8 @@ The extractor never imports the code it checks (same contract as
 * one **strategy protocol** per module defining an ``_spmd`` entry point
   — the SPMD body is projected twice, once per role (``master`` for
   rank 0, ``worker`` for every other rank), with rank conditionals
-  resolved, local/imported helper calls inlined (``_master`` shared by
-  type3/type3x, nested closures like the store's ``reply``), payload
+  resolved, local/imported helper calls inlined (the type3 store's
+  ``_master``, nested closures like its ``reply``), payload
   labels read off the tuple-with-string-head idiom, and reply
   destinations tied back to the last wildcard receive;
 * one **collective protocol** per ``bcast``/``scatter``/``gather``

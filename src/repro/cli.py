@@ -62,6 +62,7 @@ from repro.experiments.registry import (
     KNOBS,
     SweepCell,
     _cell_id,
+    _validate,
     base_spec,
     custom_sweep,
     get_scenario,
@@ -393,6 +394,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.retry_threshold is not None
             else max(1, args.iterations // 25)
         )
+    try:
+        _validate(args.strategy, params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cell = SweepCell(
         "cli-run", "", args.strategy, spec, tuple(sorted(params.items()))
     )

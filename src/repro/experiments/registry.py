@@ -50,8 +50,11 @@ import numpy as np
 from repro.experiments.artifacts import NON_IDENTITY_PARAMS
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
 from repro.parallel.faults import format_faults, parse_faults
-from repro.parallel.mpi.backend import CLUSTERS, validate_cluster
-from repro.parallel.mpi.mp_backend import RANK_FAILURE_POLICIES
+from repro.parallel.mpi.backend import (
+    CLUSTERS,
+    RANK_FAILURE_POLICIES,
+    validate_cluster,
+)
 from repro.parallel.runners import ExperimentSpec
 from repro.sime.config import EVAL_MODES
 

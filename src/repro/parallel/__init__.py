@@ -2,14 +2,16 @@
 
 * :mod:`repro.parallel.mpi` — the MPI-like communication layer: an abstract
   :class:`~repro.parallel.mpi.comm.Communicator`, the deterministic
-  discrete-event :class:`~repro.parallel.mpi.simcluster.SimCluster`, a real
-  :mod:`multiprocessing` backend, and the calibrated network/work models;
+  discrete-event :class:`~repro.parallel.mpi.simcluster.SimCluster`, the
+  real-process :class:`~repro.parallel.mpi.socket_backend.SocketCluster`,
+  and the calibrated network/work models;
 * :mod:`repro.parallel.partition` — the row-allocation patterns of the
   paper's Type II study (fixed alternating [5] and random [7]);
 * :mod:`repro.parallel.type1` / :mod:`type2` / :mod:`type3` — the three
   parallelization strategies of Section 6;
 * :mod:`repro.parallel.type3x` — the Section 7 "future work" diversified
-  Type III variant (heterogeneous allocators + goodness-aware crossover);
+  Type III variant (heterogeneous allocators + goodness-aware crossover),
+  run on type3's store/searcher protocol;
 * :mod:`repro.parallel.runners` — one-call experiment runners used by the
   benches and examples.
 """

@@ -12,9 +12,11 @@ point the strategy runners, the experiment registry and the CLI's
 The contract:
 
 * ``run(fn, args, kwargs, per_rank_kwargs)`` executes ``fn(comm, ...)``
-  on every rank and returns a result exposing ``results`` (one per rank),
-  ``clocks`` (per-rank elapsed in the backend's clock domain), ``meters``
-  (per-rank work meters) and ``makespan`` (the run's span in that domain);
+  on every rank and returns a
+  :class:`~repro.parallel.mpi.comm.ClusterRunResult`: ``results`` (one
+  per rank), ``clocks`` (per-rank elapsed in the backend's clock
+  domain), ``meters`` (per-rank work meters), ``makespan`` (the run's
+  span in that domain) and ``lost`` (ranks a degraded run abandoned);
 * ``clock`` names the domain: ``"model"`` (virtual, deterministic) or
   ``"wall"`` (host wall-clock);
 * any rank failure raises :class:`~repro.parallel.mpi.comm.CommError`
@@ -33,15 +35,15 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.cost.workmeter import WorkMeter, WorkModel
+from repro.cost.workmeter import WorkModel
 from repro.parallel.mpi.calibration import (
     calibrated_network_model,
     calibrated_work_model,
 )
-from repro.parallel.mpi.mp_backend import DEFAULT_TIMEOUT
+from repro.parallel.mpi.comm import ClusterRunResult
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.mpi.simcluster import SimCluster
-from repro.parallel.mpi.socket_backend import SocketCluster
+from repro.parallel.mpi.socket_backend import DEFAULT_TIMEOUT, SocketCluster
 
 if TYPE_CHECKING:  # circular at runtime: faults needs CommError from mpi
     from repro.parallel.faults import FaultPlan
@@ -50,12 +52,16 @@ __all__ = [
     "ClusterBackend",
     "ClusterRunResult",
     "CLUSTERS",
+    "RANK_FAILURE_POLICIES",
     "make_cluster",
     "validate_cluster",
 ]
 
 #: Registered backend names, in preference order.
 CLUSTERS = ("sim", "socket")
+
+#: Accepted ``on_rank_failure`` policies.
+RANK_FAILURE_POLICIES = ("abort", "degrade")
 
 
 def validate_cluster(kind: str) -> str:
@@ -65,20 +71,6 @@ def validate_cluster(kind: str) -> str:
             f"unknown cluster backend {kind!r}; expected one of {CLUSTERS}"
         )
     return kind
-
-
-@runtime_checkable
-class ClusterRunResult(Protocol):
-    """What every backend's ``run`` returns (duck-typed)."""
-
-    results: list[Any]
-    clocks: list[float]
-    meters: list[WorkMeter]
-
-    @property
-    def makespan(self) -> float:
-        """The run's span in the backend's clock domain."""
-        ...
 
 
 @runtime_checkable
@@ -122,8 +114,9 @@ def make_cluster(
     every rank (both backends).  ``on_rank_failure`` selects the
     real backend's response to a mid-run rank loss: ``"abort"`` (default,
     raise :class:`CommError`) or ``"degrade"`` (continue with the
-    survivors and report the losses on the run result) — the simulated
-    backend has no partial-death mode and ignores it.
+    survivors and report the losses on the run result).  It is checked
+    for both kinds, but the simulated backend has no partial-death mode
+    and ignores it.
 
     ``trace_dir`` arms a :class:`~repro.parallel.trace.CommTraceRecorder`
     on every rank (both backends) and writes one canonical
@@ -133,6 +126,11 @@ def make_cluster(
     these traces against the static protocol skeletons.
     """
     validate_cluster(kind)
+    if on_rank_failure not in RANK_FAILURE_POLICIES:
+        raise ValueError(
+            f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
+            f"got {on_rank_failure!r}"
+        )
     if kind == "sim":
         return SimCluster(
             p,

@@ -15,15 +15,25 @@ pickle-based (lower-case) half of mpi4py:
 
 Backends also expose ``elapsed()`` — virtual model-seconds on the
 simulated cluster, wall-clock seconds elsewhere — so strategy code reports
-runtimes uniformly.
+runtimes uniformly.  Every backend's ``run`` returns one
+:class:`ClusterRunResult`.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-__all__ = ["Communicator", "ANY_SOURCE", "CommError", "DeadlockError"]
+from repro.cost.workmeter import WorkMeter
+
+__all__ = [
+    "Communicator",
+    "ClusterRunResult",
+    "ANY_SOURCE",
+    "CommError",
+    "DeadlockError",
+]
 
 #: Wildcard source for :meth:`Communicator.recv`.
 ANY_SOURCE: int = -1
@@ -35,6 +45,24 @@ class CommError(RuntimeError):
 
 class DeadlockError(CommError):
     """Raised by the simulated cluster when every rank is blocked."""
+
+
+@dataclass
+class ClusterRunResult:
+    """Outcome of one SPMD run, on either backend.
+
+    Per rank: the function's return value, its elapsed time in the
+    backend's clock domain and its work meter.  ``makespan`` is the run's
+    span in that domain (the slowest virtual clock on sim, the parent's
+    wall time on socket).  ``lost`` maps ranks a degraded run abandoned
+    to a reason; their slots hold ``None``/``0.0``/an empty meter.
+    """
+
+    results: list[Any]
+    clocks: list[float]
+    meters: list[WorkMeter]
+    makespan: float
+    lost: dict[int, str] = field(default_factory=dict)
 
 
 class Communicator(abc.ABC):

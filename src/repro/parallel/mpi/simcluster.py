@@ -45,6 +45,7 @@ from repro.cost.workmeter import WorkMeter, WorkModel
 from repro.parallel.intercept import chained
 from repro.parallel.mpi.comm import (
     ANY_SOURCE,
+    ClusterRunResult,
     CommError,
     Communicator,
     DeadlockError,
@@ -52,7 +53,7 @@ from repro.parallel.mpi.comm import (
 from repro.parallel.mpi.message import Message
 from repro.parallel.mpi.netmodel import NetworkModel
 
-__all__ = ["SimCluster", "SimRunResult"]
+__all__ = ["SimCluster"]
 
 _RUNNING = "running"
 _BLOCKED_RECV = "blocked-recv"
@@ -63,20 +64,6 @@ _DONE = "done"
 #: missed notify (or a rank that died without one) can never wedge the
 #: run — the deadlock detector runs on each wakeup.
 _COND_POLL_SECONDS = 0.5
-
-
-@dataclass
-class SimRunResult:
-    """Outcome of one simulated SPMD run."""
-
-    results: list[Any]
-    clocks: list[float]
-    meters: list[WorkMeter]
-
-    @property
-    def makespan(self) -> float:
-        """Virtual wall-clock of the parallel run (slowest rank)."""
-        return max(self.clocks)
 
 
 @dataclass
@@ -203,7 +190,7 @@ class SimCluster:
         args: Sequence[Any] = (),
         kwargs: dict[str, Any] | None = None,
         per_rank_kwargs: Sequence[dict[str, Any]] | None = None,
-    ) -> SimRunResult:
+    ) -> ClusterRunResult:
         """Execute ``fn(comm, *args, **kwargs, **per_rank_kwargs[rank])``.
 
         Blocks until every rank returns; re-raises the first rank failure.
@@ -259,10 +246,12 @@ class SimCluster:
         for exc in errors:
             if exc is not None:
                 raise exc
-        return SimRunResult(
+        clocks = [r.clock for r in self._ranks]
+        return ClusterRunResult(
             results=results,
-            clocks=[r.clock for r in self._ranks],
+            clocks=clocks,
             meters=[r.meter for r in self._ranks],
+            makespan=max(clocks),
         )
 
     # ==================================================================

@@ -63,6 +63,7 @@ import os
 import pickle
 import selectors
 import socket
+import sys
 import tempfile
 import threading
 import time
@@ -70,7 +71,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cost.workmeter import WorkMeter, WorkModel
 from repro.parallel.intercept import chained
-from repro.parallel.mpi.comm import ANY_SOURCE, CommError
+from repro.parallel.mpi.comm import ANY_SOURCE, ClusterRunResult, CommError
 from repro.parallel.mpi.commbase import BufferedComm
 from repro.parallel.mpi.message import (
     FRAME_DATA,
@@ -83,17 +84,20 @@ from repro.parallel.mpi.message import (
     recv_frame,
     send_frame,
 )
-from repro.parallel.mpi.mp_backend import (
-    DEFAULT_TIMEOUT,
-    RANK_FAILURE_POLICIES,
-    MpRunResult,
-    pick_start_method,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults ← comm)
     from repro.parallel.faults import FaultPlan
 
-__all__ = ["SocketCluster", "MAX_SOCKET_RANKS"]
+__all__ = [
+    "SocketCluster",
+    "MAX_SOCKET_RANKS",
+    "DEFAULT_TIMEOUT",
+    "pick_start_method",
+]
+
+#: Default run deadline (seconds): generous for real workloads, finite so
+#: a hung backend can never stall a caller (CI enforces a tighter one).
+DEFAULT_TIMEOUT = 600.0
 
 #: Largest supported rank count.  The router holds one connection per
 #: rank plus the listener — ``p + 1`` descriptors — so the real bound is
@@ -402,6 +406,20 @@ def _socket_worker(
         sock.close()
 
 
+def pick_start_method() -> str:
+    """``fork`` where safe and available, else ``spawn``.
+
+    macOS can fork but CoreFoundation makes it unsafe-by-default (Python
+    3.8+ defaults the platform to spawn for the same reason); Windows has
+    no fork at all.  The SPMD function and its arguments must be
+    picklable either way (module-level functions; specs are plain
+    dataclasses).
+    """
+    if sys.platform != "darwin" and "fork" in mp.get_all_start_methods():
+        return "fork"
+    return "spawn"
+
+
 class SocketCluster:
     """Hub-and-spoke SPMD execution (see module docstring).
 
@@ -438,7 +456,7 @@ class SocketCluster:
         ``"abort"`` (default): any mid-run rank loss terminates the
         survivors and raises :class:`CommError` — bit-identical to the
         pre-fault-tolerance behavior.  ``"degrade"``: the loss is
-        broadcast as PEERDOWN, recorded on ``MpRunResult.lost``, and the
+        broadcast as PEERDOWN, recorded on ``ClusterRunResult.lost``, and the
         run continues with the survivors.
     trace_dir:
         Optional directory for per-rank comm-event traces
@@ -464,11 +482,6 @@ class SocketCluster:
     ):
         if size < 1:
             raise ValueError(f"size must be >= 1, got {size}")
-        if on_rank_failure not in RANK_FAILURE_POLICIES:
-            raise ValueError(
-                f"on_rank_failure must be one of {RANK_FAILURE_POLICIES}, "
-                f"got {on_rank_failure!r}"
-            )
         if size > MAX_SOCKET_RANKS:
             raise ValueError(
                 f"size {size} exceeds the socket router bound (p <= "
@@ -496,7 +509,7 @@ class SocketCluster:
         args: Sequence[Any] = (),
         kwargs: dict[str, Any] | None = None,
         per_rank_kwargs: Sequence[dict[str, Any]] | None = None,
-    ) -> MpRunResult:
+    ) -> ClusterRunResult:
         """Execute ``fn(comm, *args, **kwargs, **per_rank_kwargs[rank])``.
 
         Raises :class:`CommError` if any rank fails — with its repr'd
@@ -586,11 +599,11 @@ class SocketCluster:
             if st is not None:
                 meter.units.update(st[3])
             meters.append(meter)
-        return MpRunResult(
+        return ClusterRunResult(
             results=[None if st is None else st[1] for st in statuses],
-            wall_seconds=wall,
             clocks=[0.0 if st is None else float(st[2]) for st in statuses],
             meters=meters,
+            makespan=wall,
             lost=lost,
         )
 

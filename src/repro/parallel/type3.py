@@ -20,15 +20,27 @@ the paper's observation — and this implementation reproduces its mechanism
 — is that identically-seeded-solution SimE threads explore overlapping
 regions, so cooperation buys quality (especially at high retry thresholds)
 but no speed.
+
+This module is the one home of the store/searcher protocol.  The
+Section 7 diversified variant (:mod:`repro.parallel.type3x`) runs the
+same store, searcher loop and driver; only each searcher's allocation
+profile and its adoption of a fetched solution differ.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from repro.cost.workmeter import WorkModel
 from repro.layout.placement import Placement
 from repro.parallel.faults import FaultPlan, as_plan
 from repro.parallel.mpi.backend import make_cluster
-from repro.parallel.mpi.comm import ANY_SOURCE, CommError, Communicator
+from repro.parallel.mpi.comm import (
+    ANY_SOURCE,
+    ClusterRunResult,
+    CommError,
+    Communicator,
+)
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.runners import (
     ExperimentSpec,
@@ -132,16 +144,31 @@ def _master(comm: Communicator, on_rank_failure: str = "abort") -> dict:
     }
 
 
-def _slave(
+def _searcher(
     comm: Communicator,
     spec: ExperimentSpec,
     iterations: int,
     retry_threshold: int,
+    variant: str = "plain",
 ) -> dict:
+    """One searching rank: the serial SimE loop plus the store protocol.
+
+    ``variant`` is ``"plain"`` (Type III) or the Section 7 ``"diverse"``
+    or ``"crossover"`` searcher.  It picks the RNG stream, the config,
+    the adoption of a fetched solution and the history timestamps.
+    """
+    plain = variant == "plain"
     problem = build_problem(spec, meter=comm.meter)
     engine = problem.engine
-    rng = stream_for(spec.seed, rank_stream_id(comm.rank), "t3-sel")
-    sime = SimulatedEvolution(engine, make_config(spec, iterations), rng)
+    if plain:
+        rng = stream_for(spec.seed, rank_stream_id(comm.rank), "t3-sel")
+        config = make_config(spec, iterations)
+    else:
+        from repro.parallel.type3x import allocator_profile, goodness_crossover
+
+        rng = stream_for(spec.seed, rank_stream_id(comm.rank), "t3x-sel")
+        config = allocator_profile(spec, comm.rank - 1, iterations)
+    sime = SimulatedEvolution(engine, config, rng)
 
     placement = problem.initial_placement()
     engine.attach(placement)
@@ -151,11 +178,12 @@ def _slave(
 
     count = 0
     last_best = sime.best_mu
+    crossovers = 0
     history: list[tuple[int, float, float]] = []
     for it in range(iterations):
         rec = sime.step()
         comm.progress()
-        history.append((it, rec.mu, comm.elapsed()))
+        history.append((it, rec.mu, comm.elapsed() if plain else 0.0))
         if sime.best_mu > last_best:
             comm.send((_REPORT, sime.best_mu, sime.best_rows), 0,
                       tag=_TAG_STORE)
@@ -167,7 +195,8 @@ def _slave(
             comm.send((_REQUEST, sime.best_mu, sime.best_rows), 0,
                       tag=_TAG_STORE)
             _src, reply = comm.recv(source=0, tag=_TAG_STORE)
-            if reply is not None:
+            if reply is not None and plain:
+                # Adopt the store's solution only if it is better.
                 mu, rows = reply
                 if mu > sime.best_mu:
                     placement = Placement.from_rows(problem.grid, rows)
@@ -176,6 +205,25 @@ def _slave(
                     sime.best_rows = placement.to_rows()
                     sime.best_costs = engine.costs()
                     last_best = sime.best_mu
+            elif reply is not None:
+                # Continue from the store's solution, or from its
+                # goodness crossover with ours.
+                their_mu, their_rows = reply
+                if variant == "crossover":
+                    child_rows = goodness_crossover(
+                        problem.grid, engine, sime.best_rows, their_rows, rng
+                    )
+                    crossovers += 1
+                else:
+                    child_rows = their_rows
+                placement = Placement.from_rows(problem.grid, child_rows)
+                engine.attach(placement)
+                mu = engine.mu()
+                if mu > sime.best_mu:
+                    sime.best_mu = mu
+                    sime.best_rows = placement.to_rows()
+                    sime.best_costs = engine.costs()
+                last_best = sime.best_mu
             count = 0
     comm.send((_DONE,), 0, tag=_TAG_STORE)
     result = sime.result()
@@ -184,6 +232,7 @@ def _slave(
         "best_costs": result.best_costs,
         "history": history,
         "elapsed": comm.elapsed(),
+        "crossovers": crossovers,
     }
 
 
@@ -192,11 +241,105 @@ def _spmd(
     spec: ExperimentSpec,
     iterations: int,
     retry_threshold: int,
+    variant: str = "plain",
     on_rank_failure: str = "abort",
 ) -> dict:
     if comm.rank == 0:
         return _master(comm, on_rank_failure)
-    return _slave(comm, spec, iterations, retry_threshold)
+    return _searcher(comm, spec, iterations, retry_threshold, variant)
+
+
+def _run_store(
+    strategy: str,
+    variant: str,
+    own_extras: Callable[[dict, list[dict], ClusterRunResult], dict[str, Any]],
+    spec: ExperimentSpec,
+    p: int,
+    retry_threshold: int,
+    network: NetworkModel | None,
+    work_model: WorkModel | None,
+    iterations: int | None,
+    cluster: str,
+    deadline: float | None,
+    faults: str | FaultPlan | None,
+    on_rank_failure: str,
+    trace_dir: str | None,
+) -> ParallelOutcome:
+    """Run the store and ``p - 1`` searchers of ``variant`` to completion.
+
+    Losing the store aborts; a searcher lost under
+    ``on_rank_failure="degrade"`` is dropped and recorded under
+    ``extras["degraded"]``.  ``own_extras(master, searchers, res)`` adds
+    the strategy's own extras.
+    """
+    if p < 3:
+        raise ValueError("Type III needs at least 3 ranks (store + 2 searchers)")
+    if retry_threshold < 1:
+        raise ValueError("retry_threshold must be >= 1")
+    iters = iterations if iterations is not None else spec.iterations
+    plan = as_plan(faults, spec.seed)
+    cl = make_cluster(
+        cluster, p, network=network, work_model=work_model, timeout=deadline,
+        faults=plan, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
+    )
+    res = cl.run(
+        _spmd,
+        kwargs={
+            "spec": spec,
+            "iterations": iters,
+            "retry_threshold": retry_threshold,
+            "variant": variant,
+            "on_rank_failure": on_rank_failure,
+        },
+    )
+    if 0 in res.lost:
+        raise CommError(
+            "Type III central store (rank 0) was lost; a degraded run "
+            f"cannot continue without it ({res.lost[0]})"
+        )
+    master = res.results[0]
+    lost_ranks = sorted(set(master["lost_ranks"]) | set(res.lost))
+    searchers = [res.results[r] for r in range(1, p) if r not in lost_ranks]
+    if not searchers:
+        raise CommError(
+            f"all searching ranks were lost: {res.lost or lost_ranks}"
+        )
+    best = max(searchers, key=lambda s: s["best_mu"])
+    extras = {
+        "retry_threshold": retry_threshold,
+        **own_extras(master, searchers, res),
+        "slave_mus": [s["best_mu"] for s in searchers],
+    }
+    if cluster != "sim":
+        extras["cluster"] = cluster
+        extras["model_seconds"] = [m.seconds() for m in res.meters]
+        extras["wall_seconds"] = res.makespan
+    if plan is not None:
+        extras["faults"] = plan.spec()
+    if on_rank_failure != "abort":
+        extras["on_rank_failure"] = on_rank_failure
+    if lost_ranks:
+        extras["degraded"] = {
+            "lost_ranks": lost_ranks,
+            "p_effective": p - len(lost_ranks),
+            "reasons": {
+                str(r): res.lost.get(r, "no DONE received")
+                for r in lost_ranks
+            },
+        }
+    return ParallelOutcome(
+        strategy=strategy,
+        circuit=spec.circuit,
+        objectives=spec.objectives,
+        p=p,
+        iterations=iters,
+        # The searchers' makespan (the store idles by design).
+        runtime=max(s["elapsed"] for s in searchers),
+        best_mu=max(master["best_mu"], best["best_mu"]),
+        best_costs=best["best_costs"],
+        history=best["history"],
+        extras=extras,
+    )
 
 
 def run_type3(
@@ -230,77 +373,14 @@ def run_type3(
     lost (losing the store itself still aborts).  The default
     ``"abort"`` matches the historical fail-fast behavior exactly.
     """
-    if p < 3:
-        raise ValueError("Type III needs at least 3 ranks (store + 2 searchers)")
-    if retry_threshold < 1:
-        raise ValueError("retry_threshold must be >= 1")
-    iters = iterations if iterations is not None else spec.iterations
-    plan = as_plan(faults, spec.seed)
-    cl = make_cluster(
-        cluster, p, network=network, work_model=work_model, timeout=deadline,
-        faults=plan, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
-    )
-    res = cl.run(
-        _spmd,
-        kwargs={
-            "spec": spec,
-            "iterations": iters,
-            "retry_threshold": retry_threshold,
-            "on_rank_failure": on_rank_failure,
+    return _run_store(
+        "type3", "plain",
+        lambda master, searchers, res: {
+            "exchanges": master["exchanges"],
+            "adoptions": master["adoptions"],
+            "rank_clocks": res.clocks,
         },
-    )
-    lost_backend = dict(getattr(res, "lost", {}) or {})
-    if 0 in lost_backend:
-        raise CommError(
-            "type3 central store (rank 0) was lost; a degraded run "
-            f"cannot continue without it ({lost_backend[0]})"
-        )
-    master = res.results[0]
-    lost_ranks = sorted(set(master.get("lost_ranks", ())) | set(lost_backend))
-    slaves = [
-        res.results[r] for r in range(1, p) if r not in lost_ranks
-    ]
-    if not slaves:
-        raise CommError(
-            f"all searching ranks were lost: {lost_backend or lost_ranks}"
-        )
-    best_slave = max(slaves, key=lambda s: s["best_mu"])
-    best_mu = max(master["best_mu"], best_slave["best_mu"])
-    # Runtime: the searchers' makespan (the store idles by design).
-    runtime = max(s["elapsed"] for s in slaves)
-    extras = {
-        "retry_threshold": retry_threshold,
-        "exchanges": master["exchanges"],
-        "adoptions": master["adoptions"],
-        "slave_mus": [s["best_mu"] for s in slaves],
-        "rank_clocks": res.clocks,
-    }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    if plan is not None:
-        extras["faults"] = plan.spec()
-    if on_rank_failure != "abort":
-        extras["on_rank_failure"] = on_rank_failure
-    if lost_ranks:
-        extras["degraded"] = {
-            "lost_ranks": lost_ranks,
-            "p_effective": p - len(lost_ranks),
-            "reasons": {
-                str(r): lost_backend.get(r, "no DONE received")
-                for r in lost_ranks
-            },
-        }
-    return ParallelOutcome(
-        strategy="type3",
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=p,
-        iterations=iters,
-        runtime=runtime,
-        best_mu=best_mu,
-        best_costs=best_slave["best_costs"],
-        history=best_slave["history"],
-        extras=extras,
+        spec, p, retry_threshold, network=network, work_model=work_model,
+        iterations=iterations, cluster=cluster, deadline=deadline,
+        faults=faults, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
     )

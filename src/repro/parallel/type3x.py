@@ -16,6 +16,10 @@ proposes two remedies:
    ordering from whichever parent scores that row's cells better, then
    repairs duplicates/omissions into the lightest rows.
 
+Everything else — the central store, the searcher loop, the SPMD entry
+and the driver — is plain Type III's (:mod:`repro.parallel.type3`): this
+module adds only the profile, the crossover and the runner.
+
 The experiment (bench A5) asks whether these two mechanisms buy quality
 over plain Type III at equal iteration budgets — the paper's conjecture,
 here made testable.
@@ -23,34 +27,19 @@ here made testable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cost.engine import CostEngine
 from repro.cost.workmeter import WorkModel
 from repro.layout.grid import RowGrid
-from repro.layout.placement import Placement
-from repro.parallel.faults import FaultPlan, as_plan
-from repro.parallel.mpi.backend import make_cluster
-from repro.parallel.mpi.comm import CommError, Communicator
+from repro.parallel.faults import FaultPlan
 from repro.parallel.mpi.netmodel import NetworkModel
-from repro.parallel.runners import (
-    ExperimentSpec,
-    ParallelOutcome,
-    build_problem,
-    rank_stream_id,
-    stream_for,
-)
-from repro.parallel.type3 import (  # shared central-store protocol
-    _TAG_STORE,
-    _master,
-)
+from repro.parallel.runners import ExperimentSpec, ParallelOutcome, make_config
+from repro.parallel.type3 import _run_store
 from repro.sime.config import SimEConfig
-from repro.sime.engine import SimulatedEvolution
 from repro.utils.rng import RngStream
 
 __all__ = ["run_type3_diversified", "goodness_crossover", "allocator_profile"]
-
-_REPORT = "report"
-_REQUEST = "request"
-_DONE = "done"
 
 
 def allocator_profile(spec: ExperimentSpec, slave_index: int, iterations: int) -> SimEConfig:
@@ -63,14 +52,11 @@ def allocator_profile(spec: ExperimentSpec, slave_index: int, iterations: int) -
     """
     variant = slave_index % 4
     wide = variant in (1, 3)
-    return SimEConfig(
-        max_iterations=iterations,
-        bias=spec.bias,
-        adaptive_bias=spec.adaptive_bias,
+    return replace(
+        make_config(spec, iterations),
         row_window=spec.row_window + (1 if wide else 0),
         slot_window=spec.slot_window + (2 if wide else 0),
         sort_descending=variant >= 2,
-        eval_mode=spec.eval_mode,
     )
 
 
@@ -119,78 +105,6 @@ def goodness_crossover(
     return child
 
 
-def _slave(
-    comm: Communicator,
-    spec: ExperimentSpec,
-    iterations: int,
-    retry_threshold: int,
-    crossover: bool,
-) -> dict:
-    problem = build_problem(spec, meter=comm.meter)
-    engine = problem.engine
-    rng = stream_for(spec.seed, rank_stream_id(comm.rank), "t3x-sel")
-    config = allocator_profile(spec, comm.rank - 1, iterations)
-    sime = SimulatedEvolution(engine, config, rng)
-
-    placement = problem.initial_placement()
-    engine.attach(placement)
-    sime.best_mu = engine.mu()
-    sime.best_rows = placement.to_rows()
-    sime.best_costs = engine.costs()
-
-    count = 0
-    last_best = sime.best_mu
-    crossovers = 0
-    for it in range(iterations):
-        sime.step()
-        comm.progress()
-        if sime.best_mu > last_best:
-            comm.send((_REPORT, sime.best_mu, sime.best_rows), 0,
-                      tag=_TAG_STORE)
-            last_best = sime.best_mu
-            count = 0
-        else:
-            count += 1
-        if count > retry_threshold:
-            comm.send((_REQUEST, sime.best_mu, sime.best_rows), 0,
-                      tag=_TAG_STORE)
-            _src, reply = comm.recv(source=0, tag=_TAG_STORE)
-            if reply is not None:
-                their_mu, their_rows = reply
-                if crossover:
-                    child_rows = goodness_crossover(
-                        problem.grid, engine, sime.best_rows, their_rows, rng
-                    )
-                    crossovers += 1
-                else:
-                    child_rows = their_rows
-                placement = Placement.from_rows(problem.grid, child_rows)
-                engine.attach(placement)
-                mu = engine.mu()
-                if mu > sime.best_mu:
-                    sime.best_mu = mu
-                    sime.best_rows = placement.to_rows()
-                    sime.best_costs = engine.costs()
-                last_best = sime.best_mu
-            count = 0
-    comm.send((_DONE,), 0, tag=_TAG_STORE)
-    result = sime.result()
-    return {
-        "best_mu": result.best_mu,
-        "best_costs": result.best_costs,
-        "history": [(r.iteration, r.mu, 0.0) for r in result.history],
-        "elapsed": comm.elapsed(),
-        "crossovers": crossovers,
-    }
-
-
-def _spmd(comm, spec, iterations, retry_threshold, crossover,
-          on_rank_failure="abort"):
-    if comm.rank == 0:
-        return _master(comm, on_rank_failure)
-    return _slave(comm, spec, iterations, retry_threshold, crossover)
-
-
 def run_type3_diversified(
     spec: ExperimentSpec,
     p: int,
@@ -213,70 +127,14 @@ def run_type3_diversified(
     in :func:`repro.parallel.type3.run_type3`: a degraded run survives
     searcher loss and records it under ``extras["degraded"]``.
     """
-    if p < 3:
-        raise ValueError("needs at least 3 ranks (store + 2 searchers)")
-    iters = iterations if iterations is not None else spec.iterations
-    plan = as_plan(faults, spec.seed)
-    cl = make_cluster(
-        cluster, p, network=network, work_model=work_model, timeout=deadline,
-        faults=plan, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
-    )
-    res = cl.run(
-        _spmd,
-        kwargs={
-            "spec": spec,
-            "iterations": iters,
-            "retry_threshold": retry_threshold,
+    return _run_store(
+        "type3x" if crossover else "type3-diverse",
+        "crossover" if crossover else "diverse",
+        lambda master, searchers, res: {
             "crossover": crossover,
-            "on_rank_failure": on_rank_failure,
+            "crossovers": sum(s["crossovers"] for s in searchers),
         },
-    )
-    lost_backend = dict(getattr(res, "lost", {}) or {})
-    if 0 in lost_backend:
-        raise CommError(
-            "central store (rank 0) was lost; a degraded run cannot "
-            f"continue without it ({lost_backend[0]})"
-        )
-    master = res.results[0]
-    lost_ranks = sorted(set(master.get("lost_ranks", ())) | set(lost_backend))
-    slaves = [res.results[r] for r in range(1, p) if r not in lost_ranks]
-    if not slaves:
-        raise CommError(
-            f"all searching ranks were lost: {lost_backend or lost_ranks}"
-        )
-    best_slave = max(slaves, key=lambda s: s["best_mu"])
-    extras = {
-        "retry_threshold": retry_threshold,
-        "crossover": crossover,
-        "crossovers": sum(s["crossovers"] for s in slaves),
-        "slave_mus": [s["best_mu"] for s in slaves],
-    }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    if plan is not None:
-        extras["faults"] = plan.spec()
-    if on_rank_failure != "abort":
-        extras["on_rank_failure"] = on_rank_failure
-    if lost_ranks:
-        extras["degraded"] = {
-            "lost_ranks": lost_ranks,
-            "p_effective": p - len(lost_ranks),
-            "reasons": {
-                str(r): lost_backend.get(r, "no DONE received")
-                for r in lost_ranks
-            },
-        }
-    return ParallelOutcome(
-        strategy="type3x" if crossover else "type3-diverse",
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=p,
-        iterations=iters,
-        runtime=max(s["elapsed"] for s in slaves),
-        best_mu=max(master["best_mu"], best_slave["best_mu"]),
-        best_costs=best_slave["best_costs"],
-        history=best_slave["history"],
-        extras=extras,
+        spec, p, retry_threshold, network=network, work_model=work_model,
+        iterations=iterations, cluster=cluster, deadline=deadline,
+        faults=faults, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
     )

@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.check.driver import _runs
 from repro.check.events import ANY, RANKS, REPLY, Choice, Event, Loop, \
     iter_events
 from repro.check.extract import extract_protocols
+from repro.check.replay import check_traces
+from repro.parallel.trace import load_trace
+from repro.parallel.type3x import run_type3_diversified
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro" / "parallel"
@@ -31,7 +35,7 @@ def protocols():
 
 
 def test_every_strategy_yields_master_and_worker(protocols):
-    for name in ("type1", "type2", "type3", "type3x"):
+    for name in ("type1", "type2", "type3"):
         proto = protocols[name]
         assert proto.kind == "strategy"
         assert set(proto.roles) == {"master", "worker"}
@@ -77,16 +81,31 @@ def test_type3_master_choice_is_reactive(protocols):
     assert {"report", "request", "done"} <= labels
 
 
-def test_type3x_inlines_the_shared_master(protocols):
-    """type3x imports _master from type3; the skeletons must agree."""
-    a = [(e.op, e.peer, e.tag) for e in protocols["type3"].events("master")]
-    b = [(e.op, e.peer, e.tag) for e in protocols["type3x"].events("master")]
-    assert a == b
-    # ... and the inlined crossover helpers must NOT contribute phantom
-    # returns that would let a worker skip its done-send (the bug class
-    # _strip_returns exists for).
-    worker_ops = [e.op for e in protocols["type3x"].events("worker")]
-    assert worker_ops[-1] == "send"
+def test_type3x_has_no_protocol_of_its_own(protocols):
+    """type3x runs type3's store and searcher: one protocol, not two."""
+    assert "type3x" not in protocols
+    # The traced smoke runs replay every strategy against a protocol
+    # that exists, so none is skipped as unknown.
+    names = {name: proto for name, proto, _run in _runs(3)}
+    assert names["type3x"] == "type3"
+    assert set(names.values()) <= set(protocols)
+
+
+def test_type3x_trace_is_admitted_by_the_type3_protocol(
+    protocols, tiny_spec, tmp_path
+):
+    """Both diversified searchers (with and without crossover) speak the
+    type3 protocol: their traces pass admission, and the only finding is
+    the store funnel's accepted ANY_SOURCE race."""
+    for crossover in (True, False):
+        trace_dir = tmp_path / str(crossover)
+        run_type3_diversified(tiny_spec, p=3, retry_threshold=1,
+                              crossover=crossover, trace_dir=str(trace_dir))
+        findings = check_traces(load_trace(trace_dir),
+                                protocol=protocols["type3"])
+        assert findings, "the Type III funnel is genuinely racy"
+        assert {f.rule for f in findings} == {"P505"}
+        assert all(f.path.endswith("type3.py") for f in findings)
 
 
 def test_collective_impls_extract_root_and_nonroot(protocols):

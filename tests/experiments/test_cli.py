@@ -29,6 +29,22 @@ def test_run_serial(capsys):
     assert "µ(s)=" in out and "wirelength" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "type3x", "--p", "3", "--retry-threshold", "0"],
+     "retry_threshold must be >= 1"),
+    (["--strategy", "type3", "--retry-threshold", "0"],
+     "retry_threshold must be >= 1"),
+    (["--strategy", "type1", "--p", "1"], "type1 needs p >= 2, got 1"),
+    (["--strategy", "type3", "--p", "2"], "type3 needs p >= 3, got 2"),
+])
+def test_run_rejects_an_invalid_cell_before_running(argv, message, capsys):
+    """The cell is validated like a registry cell: one line, exit 2."""
+    assert main(["run", "--circuit", "s1196", "--iterations", "4", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_run_json_and_artifact(tmp_path, capsys):
     code = main([
         "run", "--circuit", "s1196", "--strategy", "type2", "--p", "2",
@@ -128,10 +144,17 @@ def test_run_rejects_unknown_circuit():
         main(["run", "--circuit", "bogus"])
 
 
-def test_run_failed_cell_exits_nonzero(capsys):
-    # type3 requires p >= 3; the cell fails and the exit code must say so.
+def test_run_failed_cell_exits_nonzero(capsys, monkeypatch):
+    # A valid cell whose run fails: the exit code must say so.  (An
+    # invalid cell never runs; see the test above.)
+    import repro.experiments.sweeps as sweeps_mod
+
+    def boom(spec, **params):
+        raise RuntimeError("type3 exploded")
+
+    monkeypatch.setattr(sweeps_mod, "run_type3", boom)
     code = main([
-        "run", "--circuit", "s1196", "--strategy", "type3", "--p", "2",
+        "run", "--circuit", "s1196", "--strategy", "type3", "--p", "3",
         "--iterations", "4",
     ])
     assert code == 1

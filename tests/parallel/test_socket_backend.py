@@ -22,8 +22,11 @@ from repro.netlist.generator import CircuitSpec
 from repro.netlist.suite import PAPER_CIRCUITS
 from repro.parallel.faults import KILL_EXIT, FaultPlan
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
-from repro.parallel.mpi.mp_backend import pick_start_method
-from repro.parallel.mpi.socket_backend import MAX_SOCKET_RANKS, SocketCluster
+from repro.parallel.mpi.socket_backend import (
+    MAX_SOCKET_RANKS,
+    SocketCluster,
+    pick_start_method,
+)
 from repro.parallel.runners import ExperimentSpec
 from repro.parallel.type2 import run_type2
 

@@ -163,6 +163,14 @@ def test_type3_validation():
         run_type3(SPEC, p=2, retry_threshold=5)
     with pytest.raises(ValueError):
         run_type3(SPEC, p=3, retry_threshold=0)
+    # The diversified variant runs the same driver, so the same checks.
+    for crossover in (True, False):
+        with pytest.raises(ValueError, match="at least 3 ranks"):
+            run_type3_diversified(SPEC, p=2, retry_threshold=5,
+                                  crossover=crossover)
+        with pytest.raises(ValueError, match="retry_threshold must be >= 1"):
+            run_type3_diversified(SPEC, p=3, retry_threshold=0,
+                                  crossover=crossover)
 
 
 # ---------------------------------------------------------------- type 3x
