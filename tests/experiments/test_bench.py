@@ -9,6 +9,7 @@ from repro.experiments.bench import (
     BENCH_SCHEMA,
     bench_cells,
     check_against,
+    load_report,
     render_bench,
     run_bench,
     save_report,
@@ -92,6 +93,18 @@ def test_committed_baseline_is_loadable():
     ids = {c["id"] for c in payload["cells"]}
     assert {f"{c.scenario}:{c.cell_id}" for c in bench_cells()} == ids
     assert "reference" in payload  # pre-PR3 wall-clock trajectory
+
+
+def test_committed_baseline_gate_is_exact():
+    """The default bench suite reproduces BENCH_PR3.json exactly: every
+    cell's model-seconds and best µ, i.e. every fused-kernel trajectory."""
+    from pathlib import Path
+
+    baseline = load_report(
+        Path(__file__).resolve().parents[2] / "BENCH_PR3.json"
+    )
+    report = run_bench(cells=bench_cells(), repeats=1, warmup=False)
+    assert check_against(report, baseline) == []
 
 
 def test_save_report_roundtrip(tmp_path, smoke_report):
