@@ -70,7 +70,7 @@ from repro.netlist.core import Netlist
 from repro.netlist.paths import PathSet, extract_critical_paths
 from repro.netlist.switching import compute_switching
 
-__all__ = ["CostEngine", "Objectives", "TrialResult"]
+__all__ = ["CostEngine", "Objectives", "ProbeTable", "TrialResult"]
 
 # Engine construction is repeated per simulated rank with identical inputs
 # (same netlist singleton, same cached activity); the pure derived objects
@@ -137,6 +137,60 @@ class TrialResult:
     slot: int
     x: float
     y: float
+
+
+#: One shared copy of each span triple (see ProbeTable): the same few
+#: small-int triples recur across cells, so tables stay compact.
+_SPANS: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
+
+class ProbeTable:
+    """One cell's static probe data, derived once from the netlist.
+
+    Read by the fused kernel (:mod:`repro.cost.probe`), the SoA kernel
+    (:mod:`repro.cost.soa`) and the allocator's target-point gather.
+
+    * ``pins`` — the incident nets' other pins in pin order, flat (a
+      neighbour on two nets appears twice).
+    * ``spans`` — ``(start, split, end)`` per net: its other pins are
+      ``pins[start:end]``, and the cell's own pin sits before ``split``.
+    * ``units`` — one candidate's work units, ``1 + Σ degree``.
+    * ``act`` — the per-net switching activities.
+    * ``crit`` — the critical nets as ``(net column, drive resistance,
+      sink caps)``; empty without the delay objective.
+    * ``batch`` — the SoA kernel's numpy tables, derived from the above on
+      the cell's first vectorized round (None until then).
+    """
+
+    __slots__ = ("pins", "spans", "units", "act", "crit", "batch")
+
+    def __init__(self, engine: "CostEngine", cell: int):
+        nets = engine._cell_nets[cell]
+        net_pins = engine.evaluator.net_pins
+        degrees = engine._degrees
+        pins: list[int] = []
+        spans: list[tuple[int, int, int]] = []
+        units = 1.0
+        for j in nets:
+            a = len(pins)
+            for c in net_pins[j]:
+                if c == cell:
+                    g = len(pins)
+                else:
+                    pins.append(c)
+            span = (a, g, len(pins))
+            spans.append(_SPANS.setdefault(span, span))
+            units += degrees[j]
+        self.pins = tuple(pins)
+        self.spans = tuple(spans)
+        self.units = units
+        self.act = tuple([engine._act[j] for j in nets])
+        crit = engine._cell_crit_nets[cell]
+        self.crit = tuple(
+            (nets.index(j), engine._drive_res[j], engine._sink_caps[j])
+            for j in crit
+        )
+        self.batch = None
 
 
 class CostEngine:
@@ -260,10 +314,8 @@ class CostEngine:
         self._beta = self.aggregator.beta
         #: Work units one full wirelength sweep charges (one per net-pin).
         self._sweep_units: float = float(sum(self._degrees))
-        #: Lazily-built per-cell neighbour pin lists (allocation's optimal-
-        #: position gather): for each incident net, its other pins in pin
-        #: order — one flat list per cell, duplicates across nets kept.
-        self._neighbor_pins: list[list[int] | None] = [None] * n_cells
+        #: Lazily-built per-cell static probe data (see ProbeTable).
+        self._probe_tables: list[ProbeTable | None] = [None] * n_cells
 
         # Mutable evaluation state (populated by attach()).
         #: Per-cell cached goodness; None = stale (dirty-set invalidation).
@@ -517,22 +569,12 @@ class CostEngine:
         self._goodness_cache[cell] = g
         return g
 
-    def neighbor_pins(self, cell: int) -> list[int]:
-        """Flat list of the cell's connected pins, one entry per net-pin.
-
-        Static connectivity (duplicates across nets kept — a neighbour
-        sharing two nets counts twice in the optimal-position median,
-        exactly as the per-net gather did); built lazily, used by the
-        allocator's ``_target_point``.
-        """
-        pins = self._neighbor_pins[cell]
-        if pins is None:
-            net_pins = self.evaluator.net_pins
-            pins = [
-                c for j in self._cell_nets[cell] for c in net_pins[j] if c != cell
-            ]
-            self._neighbor_pins[cell] = pins
-        return pins
+    def probe_table(self, cell: int) -> ProbeTable:
+        """The cell's static probe data, built on first use."""
+        table = self._probe_tables[cell]
+        if table is None:
+            table = self._probe_tables[cell] = ProbeTable(self, cell)
+        return table
 
     # ------------------------------------------------------------------
     # structural mutations with incremental updates

@@ -8,13 +8,17 @@ is pure interpreter overhead (the paper's Section 4 profile bills ~98 % of
 runtime to exactly this loop).
 
 :class:`ProbeContext` hoists the fixed-pin work out of the candidate loop.
-``CostEngine.open_probe(cell)`` walks each incident net **once** and
-records, per net:
+The cell's static half — its incident nets' other pins split at its own
+pin, the work units, the activities and the critical nets — is the
+engine's per-cell :class:`~repro.cost.engine.ProbeTable`, built once and
+shared with the SoA kernel and the allocator.  ``CostEngine.open_probe``
+builds only the coordinate-dependent half, walking each net's pins
+**once** per round and recording, per net:
 
-* the fixed-pin x extremes (the probe only stretches or keeps the span);
-* the fixed-pin y values, split around the probed cell's pin position and
-  also sorted (for merged-median lookup);
-* the per-net activity and criticality data the goodness ratios need.
+* the placed fixed-pin x extremes (the probe only stretches or keeps the
+  span);
+* the placed fixed-pin y values before and after the cell's pin, and also
+  sorted (for merged-median lookup).
 
 ``probe(row, slot)`` then scores a candidate in O(incident nets): the span
 is two comparisons, and the branch term ``Σ|y − med|`` only depends on the
@@ -139,13 +143,15 @@ class ProbeContext:
 
         steiner = engine.evaluator.estimator == "steiner"
         self._steiner = steiner
-        nets = engine._cell_nets[cell]
-        net_pins = engine.evaluator.net_pins
-        degrees = engine._degrees
-        act = engine._act
+        table = engine.probe_table(cell)
+        self._units = table.units
+        self._act = table.act
+        self._crit = table.crit
+        pins = table.pins
         x, y = p.x, p.y
 
-        units = 1.0
+        # The coordinate-dependent half: per net, the placed fixed pins'
+        # extremes and their ys before and after the cell's own pin.
         m_l: list[int] = []
         lo_l: list[float] = []
         hi_l: list[float] = []
@@ -154,18 +160,15 @@ class ProbeContext:
         pre_l: list[list[float]] = []
         post_l: list[list[float]] = []
         sort_l: list[list[float]] = []
-        act_l: list[float] = []
-        for j in nets:
-            units += degrees[j]
+        for a, g, b in table.spans:
             pre: list[float] = []
             post: list[float] = []
-            cur = pre
+            ys = pre
             lo = hi = loy = hiy = 0.0
             m = 0
-            for c in net_pins[j]:
-                if c == cell:
-                    cur = post
-                    continue
+            for i, c in enumerate(pins[a:b], a):
+                if i == g:  # past the cell's own pin
+                    ys = post
                 vx = x[c]
                 if vx == vx:  # placed pin (not NaN)
                     vy = y[c]
@@ -182,7 +185,7 @@ class ProbeContext:
                         elif vy > hiy:
                             hiy = vy
                     m += 1
-                    cur.append(vy)
+                    ys.append(vy)
             m_l.append(m)
             lo_l.append(lo)
             hi_l.append(hi)
@@ -191,8 +194,6 @@ class ProbeContext:
             pre_l.append(pre)
             post_l.append(post)
             sort_l.append(sorted(pre + post) if steiner else [])
-            act_l.append(act[j])
-        self._units = units
         self._m = m_l
         self._lo = lo_l
         self._hi = hi_l
@@ -201,17 +202,6 @@ class ProbeContext:
         self._pre = pre_l
         self._post = post_l
         self._sorted = sort_l
-        self._act = act_l
-        # Critical incident nets as (position-in-nets, R_drive, sink_caps).
-        if self._has_delay:
-            dr = engine._drive_res
-            sc = engine._sink_caps
-            pos_of = {j: idx for idx, j in enumerate(nets)}
-            self._crit = [
-                (pos_of[j], dr[j], sc[j]) for j in engine._cell_crit_nets[cell]
-            ]
-        else:
-            self._crit = []
         self._pending_units = 0.0
         self._pending_probes = 0.0
 
@@ -250,18 +240,6 @@ class ProbeContext:
             out.append(_branch_at(m, pre, post, srt, cy))
         self._row_branch[row] = out
         return out
-
-    def _coords(self, row: int, slot: int) -> tuple[float, float]:
-        """Candidate center coordinates (same math as ``insertion_coords``)."""
-        p = self._p
-        cells = p.rows[row]
-        slot = min(max(slot, 0), len(cells))
-        if slot == len(cells):
-            boundary = p.row_width[row]
-        else:
-            nxt = cells[slot]
-            boundary = p.x[nxt] - self._widths[nxt] / 2.0
-        return boundary + self._w / 2.0, self._row_y(row)
 
     def _goodness_at(self, row: int, cx: float) -> float:
         """Fuzzy goodness of the cell at x = ``cx`` in ``row``.
@@ -335,7 +313,7 @@ class ProbeContext:
 
         Bit-identical result and meter charge (see module docstring).
         """
-        cx, cy = self._coords(row, slot)
+        cx, cy = self.engine.insertion_coords(self.cell, row, slot)
         p = self._p
         legal = p.row_width[row] + self._w <= self._max_legal + 1e-9
         goodness = self._goodness_at(row, cx)

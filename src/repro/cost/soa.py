@@ -68,7 +68,7 @@ wirelength, power and delay accumulations over the cell's nets.
   scalar kernel's accumulation order: each sum is a left fold
   ``((0.0 + t0) + t1) + …`` over the nets (or, for a branch sum, over the
   net's pins in pin order with the probe pin's term in the cell's own pin
-  position — the static insertion map in ``_CellStatic``).  A fold is
+  position — the gapped pin table in ``_BatchTables``).  A fold is
   either a loop of vector adds over the folded axis or ``np.cumsum``
   along it (:func:`_fold`); ``cumsum`` is an accumulate, so it adds
   strictly in index order, unlike ``sum``/``@``.  Padding and unplaced
@@ -157,60 +157,45 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return out
 
 
-class _CellStatic:
-    """Static (netlist-only) batch tables for one cell's incident nets.
+class _BatchTables:
+    """The SoA kernel's padded numpy view of one cell's probe table.
 
-    ``pins`` holds each net's other pins in pin order, padded with the
-    sentinel.  ``pins_ext`` is the same table one column wider, with a
-    sentinel gap (marked in ``gap``) at the cell's own first pin position
-    in the net — the insertion map that lets the exact Steiner fold add
-    the probe pin's term where the scalar walk adds it.
+    Derived from :class:`~repro.cost.engine.ProbeTable` on the cell's first
+    vectorized round and kept on it (``ProbeTable.batch``).  ``pins`` holds
+    each net's other pins in pin order, padded with the sentinel ``n``.
+    ``pins_ext`` is the same table one column wider, with a sentinel gap
+    (marked in ``gap``) at the table's split — the cell's own pin position,
+    where the exact Steiner fold adds the probe pin's term.
     """
 
-    __slots__ = ("pins", "pins_ext", "gap", "row_off", "units", "act",
-                 "crit_cols", "crit_w", "crit_const", "crit_dr", "crit_sc",
-                 "o_wl", "o_pw", "o_d")
+    __slots__ = ("pins", "pins_ext", "gap", "row_off", "act", "crit_cols",
+                 "crit_dr", "crit_sc", "crit_w", "crit_const")
 
-    def __init__(self, engine, soa: "SoAState", cell: int):
-        nets = engine._cell_nets[cell]
-        net_pins = engine.evaluator.net_pins
-        others = [[c for c in net_pins[j] if c != cell] for j in nets]
-        ins = [net_pins[j].index(cell) for j in nets]
-        d = max((len(o) for o in others), default=0)
-        pins = np.full((len(nets), d), soa.n, dtype=np.intp)
-        pins_ext = np.full((len(nets), d + 1), soa.n, dtype=np.intp)
-        for i, (o, k) in enumerate(zip(others, ins)):
-            pins[i, : len(o)] = o
-            pins_ext[i, :k] = o[:k]
-            pins_ext[i, k + 1: len(o) + 1] = o[k:]
-        self.pins = pins
+    def __init__(self, engine, table, n: int):
+        spans = table.spans
+        n_nets = len(spans)
+        d = max((b - a for a, _g, b in spans), default=0)
+        pins_ext = np.full((n_nets, d + 1), n, dtype=np.intp)
+        gap = np.zeros(pins_ext.shape, dtype=bool)
+        for i, (a, g, b) in enumerate(spans):
+            pins_ext[i, : g - a] = table.pins[a:g]
+            pins_ext[i, g - a + 1: b - a + 1] = table.pins[g:b]
+            gap[i, g - a] = True
+        # Each row has exactly one gap: dropping it leaves the plain table.
+        self.pins = pins_ext[~gap].reshape(n_nets, d)
         self.pins_ext = pins_ext
-        self.gap = np.zeros(pins_ext.shape, dtype=bool)
-        self.gap[np.arange(len(nets)), np.asarray(ins, dtype=np.intp)] = True
+        self.gap = gap
         #: Flat offset of each net's row in a raveled gapped table.
-        self.row_off = np.arange(len(nets), dtype=np.intp) * (d + 1)
-        self.units = 1.0 + float(sum(engine._degrees[j] for j in nets))
-        self.act = soa.act[np.asarray(nets, dtype=np.intp)] if nets else \
-            np.zeros(0)
-        self.o_wl = engine._cell_o_wl[cell]
-        self.o_pw = engine._cell_o_pw[cell]
-        self.o_d = engine._cell_o_d[cell]
-        crit = engine._cell_crit_nets[cell]
-        if crit:
-            pos_of = {j: i for i, j in enumerate(nets)}
-            self.crit_cols = np.asarray([pos_of[j] for j in crit],
-                                        dtype=np.intp)
-            dr = engine._drive_res
-            sc = engine._sink_caps
-            self.crit_dr = np.asarray([dr[j] for j in crit], dtype=np.float64)
-            self.crit_sc = np.asarray([sc[j] for j in crit], dtype=np.float64)
-            self.crit_w = self.crit_dr * engine._wire_cap
-            self.crit_const = float(sum(dr[j] * sc[j] for j in crit))
-        else:
-            self.crit_cols = np.zeros(0, dtype=np.intp)
-            self.crit_w = np.zeros(0)
-            self.crit_const = 0.0
-            self.crit_dr = self.crit_sc = np.zeros(0)
+        self.row_off = np.arange(n_nets, dtype=np.intp) * (d + 1)
+        self.act = np.asarray(table.act, dtype=np.float64)
+        crit = table.crit
+        cols, dr, sc = zip(*crit) if crit else ((), (), ())
+        self.crit_cols = np.asarray(cols, dtype=np.intp)
+        self.crit_dr = np.asarray(dr, dtype=np.float64)
+        self.crit_sc = np.asarray(sc, dtype=np.float64)
+        # Only delay engines have critical nets (and a wire capacitance).
+        self.crit_w = self.crit_dr * engine._wire_cap if crit else self.crit_dr
+        self.crit_const = float(sum(r * c for r, c in zip(dr, sc)))
 
 
 class SoAState:
@@ -222,8 +207,8 @@ class SoAState:
     (``ensure_fresh``) after a placement rebind or full refresh.
     """
 
-    __slots__ = ("n", "xy", "x", "y", "widths", "act", "row_y",
-                 "_static", "_row_cache", "_stale", "_bound")
+    __slots__ = ("n", "xy", "x", "y", "widths", "row_y",
+                 "_row_cache", "_stale", "_bound")
 
     def __init__(self, engine):
         # No back-reference to the engine (which owns this mirror): the
@@ -236,14 +221,12 @@ class SoAState:
         self.x = self.xy[0]
         self.y = self.xy[1]
         self.widths = np.zeros(self.n)
-        self.act = np.asarray(engine._act, dtype=np.float64)
         # Fixed row geometry as an array: the y-term broadcast gathers row
         # centers by fancy index instead of a per-scan method-call loop.
         grid = engine.grid
         self.row_y = np.asarray(
             [grid.row_y(r) for r in range(grid.num_rows)]
         )
-        self._static: dict[int, _CellStatic] = {}
         #: row -> insertion boundaries in slot order (append slot last);
         #: see the module docstring.  Entries are dropped by invalidate_rows.
         self._row_cache: dict[int, np.ndarray] = {}
@@ -318,13 +301,6 @@ class SoAState:
             self._row_cache[row] = ent
         return ent
 
-    def cell_static(self, engine, cell: int) -> _CellStatic:
-        """Memoized static tables of ``cell`` (``engine`` owns the mirror)."""
-        st = self._static.get(cell)
-        if st is None:
-            st = self._static[cell] = _CellStatic(engine, self, cell)
-        return st
-
 
 class BatchProbeContext:
     """One cell's probe round, scored with vectorized numpy.
@@ -336,7 +312,8 @@ class BatchProbeContext:
     """
 
     __slots__ = (
-        "engine", "cell", "_p", "_soa", "_st", "_w", "_max_legal", "_units",
+        "engine", "cell", "_p", "_soa", "_bt", "_w", "_max_legal", "_units",
+        "_o_wl", "_o_pw", "_o_d",
         "_steiner", "_has_power", "_has_delay", "_beta", "_n_obj",
         "_mask", "_m", "_xlo", "_xhi", "_Y", "_Yg", "_ylo", "_yhi",
         "_modd", "_i_lo", "_i_hi", "_pending_units", "_pending_probes",
@@ -347,15 +324,21 @@ class BatchProbeContext:
         p = engine._require_placement()
         soa = engine.soa_state()
         soa.ensure_fresh(p)
-        st = soa.cell_static(engine, cell)
+        table = engine.probe_table(cell)
+        bt = table.batch
+        if bt is None:
+            bt = table.batch = _BatchTables(engine, table, soa.n)
         self.engine = engine
         self.cell = cell
         self._p = p
         self._soa = soa
-        self._st = st
+        self._bt = bt
         self._w = float(p._widths[cell])
         self._max_legal = engine.grid.max_legal_width
-        self._units = st.units
+        self._units = table.units
+        self._o_wl = engine._cell_o_wl[cell]
+        self._o_pw = engine._cell_o_pw[cell]
+        self._o_d = engine._cell_o_d[cell]
         self._steiner = engine.evaluator.estimator == "steiner"
         self._has_power = engine.has_power
         self._has_delay = engine.has_delay
@@ -366,7 +349,7 @@ class BatchProbeContext:
         # One gather: fixed-pin coordinate matrices (nets × max degree);
         # padding and unplaced pins are NaN (in both coordinates), one
         # mask covers both.
-        XY = soa.xy[:, st.pins]
+        XY = soa.xy[:, bt.pins]
         X = XY[0]
         Y = XY[1]
         mask = np.isfinite(X)
@@ -378,15 +361,15 @@ class BatchProbeContext:
         self._modd = self._i_lo = self._i_hi = None
         if self._steiner:
             self._Y = Y
-            # The gapped pin table's ys (see _CellStatic), and the
+            # The gapped pin table's ys (see _BatchTables), and the
             # row-independent pieces of the merged-median selection: the
             # merged length is m + 1 per net, so the median indexes and
             # the odd/even parity never change across probed rows.
-            self._Yg = soa.y[st.pins_ext]
+            self._Yg = soa.y[bt.pins_ext]
             half = (self._m + 1) // 2
             self._modd = (self._m + 1) % 2 == 1
-            self._i_hi = st.row_off + half
-            self._i_lo = st.row_off + np.maximum(half - 1, 0)
+            self._i_hi = bt.row_off + half
+            self._i_lo = bt.row_off + np.maximum(half - 1, 0)
         else:
             self._ylo = np.fmin.reduce(Y, axis=1, initial=np.inf)
             self._yhi = np.fmax.reduce(Y, axis=1, initial=-np.inf)
@@ -413,7 +396,7 @@ class BatchProbeContext:
             yt = (np.maximum(self._yhi[None, :], cy[:, None])
                   - np.minimum(self._ylo[None, :], cy[:, None]))
         else:
-            full = np.where(self._st.gap, cy[:, None, None], self._Yg[None])
+            full = np.where(self._bt.gap, cy[:, None, None], self._Yg[None])
             srt = np.sort(full, axis=2).reshape(len(cy), -1)
             v_hi = srt[:, self._i_hi]
             v_lo = srt[:, self._i_lo]
@@ -525,30 +508,30 @@ class BatchProbeContext:
             + yt
         )
         n_cand = cx.shape[0]
-        st = self._st
+        bt = self._bt
         exact = self._exact
         c_wl = _fold(lens) if exact else lens.sum(axis=1)
-        r0 = np.divide(st.o_wl, c_wl, out=np.ones(n_cand),
-                       where=c_wl > st.o_wl)
+        r0 = np.divide(self._o_wl, c_wl, out=np.ones(n_cand),
+                       where=c_wl > self._o_wl)
         worst = r0
         total = r0
         if self._has_power:
-            c_pw = _fold(lens * st.act) if exact else lens @ st.act
-            r1 = np.divide(st.o_pw, c_pw, out=np.ones(n_cand),
-                           where=c_pw > st.o_pw)
+            c_pw = _fold(lens * bt.act) if exact else lens @ bt.act
+            r1 = np.divide(self._o_pw, c_pw, out=np.ones(n_cand),
+                           where=c_pw > self._o_pw)
             worst = np.minimum(worst, r1)
             total = total + r1
         if self._has_delay:
-            if st.crit_cols.size:
+            if bt.crit_cols.size:
                 if exact:
-                    c_d = _fold(st.crit_dr * (
-                        self.engine._wire_cap * lens[:, st.crit_cols]
-                        + st.crit_sc
+                    c_d = _fold(bt.crit_dr * (
+                        self.engine._wire_cap * lens[:, bt.crit_cols]
+                        + bt.crit_sc
                     ))
                 else:
-                    c_d = lens[:, st.crit_cols] @ st.crit_w + st.crit_const
-                r2 = np.divide(st.o_d, c_d, out=np.ones(n_cand),
-                               where=c_d > st.o_d)
+                    c_d = lens[:, bt.crit_cols] @ bt.crit_w + bt.crit_const
+                r2 = np.divide(self._o_d, c_d, out=np.ones(n_cand),
+                               where=c_d > self._o_d)
                 worst = np.minimum(worst, r2)
                 total = total + r2
             else:
@@ -628,16 +611,6 @@ class BatchProbeContext:
             return gi, row, slot
         return best
 
-    def scan_row_batch(
-        self,
-        row: int,
-        lo_slot: int,
-        hi_slot: int,
-        best: tuple[float, int, int] | None = None,
-    ) -> tuple[float, int, int] | None:
-        """Single-window convenience form of :meth:`scan_rows`."""
-        return self.scan_rows([(row, lo_slot, hi_slot)], best)
-
     def flush_charges(self) -> None:
         """Charge the accumulated scan work to the meter."""
         if self._pending_units:
@@ -680,7 +653,7 @@ class BatchProbeContext:
                     f"cell {self.cell} at ({row},{slot}): batch legality "
                     f"{bool(legal[i])} != scalar {s_legal}"
                 )
-            s_cx, _ = scalar_ctx._coords(row, slot)
+            s_cx, _ = self.engine.insertion_coords(self.cell, row, slot)
             s_g = scalar_ctx._goodness_at(row, s_cx)
             if exact:
                 if float(g[i]) != s_g:

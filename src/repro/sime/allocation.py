@@ -141,8 +141,9 @@ class Allocator:
     def _target_point(self, cell: int) -> tuple[float, float]:
         """Optimal position estimate: median of connected placed pins.
 
-        The connectivity gather runs over the engine's precomputed
-        neighbour-pin list (static), and the medians are computed by
+        The connectivity gather runs over the flat neighbour list of the
+        cell's static probe table (shared with both probe kernels): a
+        neighbour on two nets counts twice.  The medians are computed by
         selection rather than a per-call full sort (:func:`_median`).
         """
         engine = self.engine
@@ -150,7 +151,7 @@ class Allocator:
         x, y = p.x, p.y
         xs: list[float] = []
         ys: list[float] = []
-        for c in engine.neighbor_pins(cell):
+        for c in engine.probe_table(cell).pins:
             vx = x[c]
             if vx == vx:  # placed or pad
                 xs.append(vx)

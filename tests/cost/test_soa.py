@@ -131,13 +131,13 @@ def test_property_batch_matches_trial_insertion(estimator):
             assert float(cx[i]) == t.x  # candidate coordinate is bit-exact
             assert int(ulp_diff(float(g[i]), t.goodness)[0]) <= BATCH_ULP_BUDGET
             # Scalar kernel: bit-identical per candidate.
-            s_cx, _ = ctx._coords(r, s)
+            s_cx, _ = engine.insertion_coords(cell, r, s)
             assert ctx._goodness_at(r, s_cx) == t.goodness
 
 
 @pytest.mark.parametrize("objectives", OBJECTIVE_SETS)
 def test_scan_row_batch_matches_scalar_scan(small_netlist, objectives):
-    """scan_row vs scan_row_batch over every row: same winner within the
+    """scan_row vs one-window scan_rows over every row: same winner within the
     budget, identical allocation/probe charges."""
     engine = _engine(small_netlist, objectives, "steiner")
     engine_b = _engine(small_netlist, objectives, "steiner")
@@ -158,7 +158,7 @@ def test_scan_row_batch_matches_scalar_scan(small_netlist, objectives):
     before_b = dict(engine_b.meter.units)
     bbest = None
     for r, lo, hi in windows:
-        bbest = bctx.scan_row_batch(r, lo, hi, bbest)
+        bbest = bctx.scan_rows([(r, lo, hi)], bbest)
     bctx.flush_charges()
 
     for cat in ("allocation", "probe"):
@@ -172,7 +172,7 @@ def test_scan_row_batch_matches_scalar_scan(small_netlist, objectives):
         # winner (each goodness is within the budget of its scalar value).
         if sbest[1:] != bbest[1:]:
             _g, row, slot = bbest
-            s_cx, _ = ctx._coords(row, slot)
+            s_cx, _ = engine.insertion_coords(cell, row, slot)
             g_at_bwin = ctx._goodness_at(row, s_cx)
             assert g_at_bwin <= sbest[0]
             assert int(ulp_diff(sbest[0], g_at_bwin)[0]) <= 2 * BATCH_ULP_BUDGET
@@ -184,7 +184,7 @@ def test_scan_row_batch_matches_scalar_scan(small_netlist, objectives):
     ectx = engine_e.open_batch_probe(cell, exact=True)
     ebest = None
     for r, lo, hi in windows:
-        ebest = ectx.scan_row_batch(r, lo, hi, ebest)
+        ebest = ectx.scan_rows([(r, lo, hi)], ebest)
     ectx.flush_charges()
     assert ebest == sbest
     for cat in ("allocation", "probe"):
@@ -243,7 +243,7 @@ def _assert_exact_round(engine, cell, windows) -> BatchProbeContext:
     ctx = engine.open_probe(cell)
     for i in range(g.shape[0]):
         r, s = int(rows_arr[i]), int(slots_arr[i])
-        s_cx, _ = ctx._coords(r, s)
+        s_cx, _ = engine.insertion_coords(cell, r, s)
         assert float(cx[i]) == s_cx
         assert float(g[i]) == ctx._goodness_at(r, s_cx)
         t = engine.trial_insertion(cell, r, s)
@@ -315,7 +315,8 @@ def test_property_exact_fold_is_bit_identical(estimator, objectives):
                          len(p.rows[r]) // 2) for r in (0, 1)]
             bctx = _assert_exact_round(engine, cell, windows)
             seen_m.update(int(m) for m in bctx._m)
-            wide |= bctx._st.pins_ext.shape[1] > _FOLD_LOOP_MAX
+            wide |= (engine.probe_table(cell).batch.pins_ext.shape[1]
+                     > _FOLD_LOOP_MAX)
             illegal |= any(
                 p.row_width[r] + p._widths[cell]
                 > engine.grid.max_legal_width + 1e-9
@@ -324,6 +325,58 @@ def test_property_exact_fold_is_bit_identical(estimator, objectives):
     assert {0, 1} <= seen_m
     assert wide
     assert illegal
+
+
+@pytest.mark.parametrize("objectives", OBJECTIVE_SETS)
+def test_probe_table_restates_the_netlist(objectives):
+    """Every cell's static probe table — pads and high-fanout nets
+    included — equals the connectivity the kernels and the allocator used
+    to derive on their own, and its numpy tables equal the padded
+    per-net gathers the SoA kernel built from the netlist."""
+    nl = _fanout_circuit(0)
+    engine = _engine(nl, objectives, "steiner")
+    net_pins = engine.evaluator.net_pins
+    n = nl.num_cells
+    assert list(nl.pads())
+    assert max(len(pins) for pins in net_pins) > _FOLD_LOOP_MAX
+    has_crit = False
+    for cell in range(n):
+        nets = engine._cell_nets[cell]
+        table = engine.probe_table(cell)
+        assert list(table.pins) == [
+            c for j in nets for c in net_pins[j] if c != cell
+        ]
+        spans = table.spans
+        assert len(spans) == len(nets)
+        for j, (a, g, b) in zip(nets, spans):
+            pre, post = table.pins[a:g], table.pins[g:b]
+            assert [*pre, cell, *post] == net_pins[j]
+        assert table.units == 1 + sum(engine._degrees[j] for j in nets)
+        assert table.act == tuple(engine._act[j] for j in nets)
+        crit = engine._cell_crit_nets[cell]
+        assert list(table.crit) == [
+            (nets.index(j), engine._drive_res[j], engine._sink_caps[j])
+            for j in crit
+        ]
+        has_crit |= bool(crit)
+
+        others = [[c for c in net_pins[j] if c != cell] for j in nets]
+        ins = [net_pins[j].index(cell) for j in nets]
+        d = max((len(o) for o in others), default=0)
+        pins = np.full((len(nets), d), n, dtype=np.intp)
+        pins_ext = np.full((len(nets), d + 1), n, dtype=np.intp)
+        for i, (o, k) in enumerate(zip(others, ins)):
+            pins[i, : len(o)] = o
+            pins_ext[i, :k] = o[:k]
+            pins_ext[i, k + 1: len(o) + 1] = o[k:]
+        gap = np.zeros(pins_ext.shape, dtype=bool)
+        gap[np.arange(len(nets)), np.asarray(ins, dtype=np.intp)] = True
+        assert table.batch is None
+        engine.open_batch_probe(cell)
+        assert np.array_equal(table.batch.pins, pins)
+        assert np.array_equal(table.batch.pins_ext, pins_ext)
+        assert np.array_equal(table.batch.gap, gap)
+    assert has_crit == ("delay" in objectives)
 
 
 def test_exact_fold_ties_pick_first_in_scan_order(small_netlist):
@@ -337,9 +390,9 @@ def test_exact_fold_ties_pick_first_in_scan_order(small_netlist):
     pads = {c.index for c in small_netlist.pads()}
     cell = next(
         c.index for c in small_netlist.movable_cells()
-        if not pads.intersection(engine.neighbor_pins(c.index))
+        if not pads.intersection(engine.probe_table(c.index).pins)
     )
-    engine.remove_cells(sorted({cell, *engine.neighbor_pins(cell)}))
+    engine.remove_cells(sorted({cell, *engine.probe_table(cell).pins}))
     rows = list(range(engine.grid.num_rows))[::-1]
     windows = [(r, 0, len(p.rows[r])) for r in rows]
     bctx = _assert_exact_round(engine, cell, windows)
@@ -371,7 +424,7 @@ def test_exact_check_gate_demands_bit_equality(small_problem):
             ctx, windows, (best[0], best[1], best[2] + 1)
         )
     soa = engine.soa_state()
-    for c in engine.neighbor_pins(cell):
+    for c in engine.probe_table(cell).pins:
         if placement.x[c] == placement.x[c]:
             soa.x[c] = np.nextafter(np.nextafter(soa.x[c], np.inf), np.inf)
     engine.open_batch_probe(cell).assert_matches_scalar(ctx, windows)
@@ -436,7 +489,8 @@ def test_check_mode_gates_exact_rounds(small_netlist, monkeypatch):
 
 def test_default_windows_never_build_the_mirror():
     """Smoke-sized rounds stay on the fused kernel: a default-window cell
-    never creates the SoA mirror, so it pays nothing for it."""
+    never creates the SoA mirror nor any cell's numpy tables, so it pays
+    nothing for them."""
     cell = next(c for c in resolve("table1", smoke=True)
                 if c.strategy == "serial")
     cfg = make_config(cell.spec)
@@ -447,6 +501,8 @@ def test_default_windows_never_build_the_mirror():
         problem.initial_placement()
     )
     assert problem.engine._soa is None
+    tables = [t for t in problem.engine._probe_tables if t is not None]
+    assert tables and all(t.batch is None for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +554,7 @@ def test_check_gate_catches_mirror_desync(small_problem):
     soa = engine.soa_state()
     soa.ensure_fresh(placement)
     neighbor = next(
-        c for c in engine.neighbor_pins(cell)
+        c for c in engine.probe_table(cell).pins
         if placement.x[c] == placement.x[c]
     )
     soa.x[neighbor] += 1e6  # desync the mirror
@@ -560,7 +616,7 @@ def test_batch_context_charges_match_scalar(small_problem):
     scalar_probe = engine.meter.units["probe"] - before.get("probe", 0.0)
     bctx = engine.open_batch_probe(cell)
     before = dict(engine.meter.units)
-    bctx.scan_row_batch(1, lo, hi, None)
+    bctx.scan_rows([(1, lo, hi)], None)
     bctx.flush_charges()
     assert engine.meter.units["allocation"] - before["allocation"] == scalar_alloc
     assert engine.meter.units["probe"] - before["probe"] == scalar_probe
