@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cost.workmeter import WorkModel
-from repro.parallel.runners import ExperimentSpec, run_serial
+from repro.parallel.runners import ExperimentSpec, ParallelOutcome, run_serial
 
-__all__ = ["ProfileReport", "profile_serial_run", "PAPER_SHARES"]
+__all__ = ["ProfileReport", "profile_serial_run", "run_profile", "PAPER_SHARES"]
 
 #: The paper's gprof shares for the two program versions (Section 4).
 PAPER_SHARES: dict[str, dict[str, float]] = {
@@ -84,4 +84,15 @@ def profile_serial_run(
         iterations=outcome.iterations,
         shares=shares,
         total_model_seconds=total,
+    )
+
+
+def run_profile(spec: ExperimentSpec) -> ParallelOutcome:
+    """The ``profile`` pseudo-strategy: a serial run plus gprof-style shares."""
+    report = profile_serial_run(spec)
+    return ParallelOutcome.for_spec(
+        "profile", spec, 1, report.iterations, report.total_model_seconds,
+        {"best_mu": 0.0, "best_costs": {}, "history": []},
+        {"shares": report.shares, "allocation_share": report.allocation_share,
+         "version": report.version_key()},
     )

@@ -21,7 +21,8 @@ Static detectors (the dynamic P505/P506 live in :mod:`repro.check.replay`):
   *bounded*: a state-cap hit means "nothing found within bounds", never
   a finding.
 * **P504 — undeadlined recv**: a strategy whose runner never threads a
-  run deadline into ``make_cluster`` has receives that hang forever when
+  run deadline into ``make_cluster`` (or the cluster driver
+  ``run_cluster``) has receives that hang forever when
   a peer dies mid-run — cross-checked against the fault kinds the fault
   injection layer can inject (``kill``/``wedge``/``disconnect`` silence
   a peer for good).  A recv inside a ``try`` that catches ``CommError``
@@ -82,8 +83,8 @@ DETECTORS: dict[str, tuple[str, str]] = {
     "P504": (
         Severity.ERROR,
         "a strategy whose runner threads no deadline into make_cluster "
-        "has no unguarded recv a killed/wedged/disconnected peer could "
-        "hang forever",
+        "or run_cluster has no unguarded recv a killed/wedged/"
+        "disconnected peer could hang forever",
     ),
     "P505": (
         Severity.ERROR,

@@ -38,26 +38,21 @@ def _smoke_spec() -> ExperimentSpec:
 def _runs(p: int) -> list[
     tuple[str, str, Callable[[ExperimentSpec, str], Any]]
 ]:
-    from repro.parallel.type1 import run_type1
-    from repro.parallel.type2 import run_type2
-    from repro.parallel.type3 import run_type3
-    from repro.parallel.type3x import run_type3_diversified
+    from repro.experiments.registry import STRATEGIES
+
+    def run(name: str, **params: Any) -> Callable[[ExperimentSpec, str], Any]:
+        return lambda spec, td: STRATEGIES[name].run(
+            spec, p=p, trace_dir=td, **params)
 
     # retry_threshold=1 provokes the REQUEST/reply path of the store
     # protocol, so the funnel race and the reply send are both exercised.
     # type3x runs type3's store and searcher, so its trace is admitted
     # against the type3 protocol.
     return [
-        ("type1", "type1",
-         lambda spec, td: run_type1(spec, p=p, trace_dir=td)),
-        ("type2", "type2",
-         lambda spec, td: run_type2(spec, p=p, trace_dir=td)),
-        ("type3", "type3",
-         lambda spec, td: run_type3(spec, p=p, retry_threshold=1,
-                                    trace_dir=td)),
-        ("type3x", "type3",
-         lambda spec, td: run_type3_diversified(
-             spec, p=p, retry_threshold=1, trace_dir=td)),
+        ("type1", "type1", run("type1")),
+        ("type2", "type2", run("type2")),
+        ("type3", "type3", run("type3", retry_threshold=1)),
+        ("type3x", "type3", run("type3x", retry_threshold=1)),
     ]
 
 

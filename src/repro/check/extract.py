@@ -323,7 +323,8 @@ class ProtocolExtractor:
     @staticmethod
     def _deadline_capable(mod: _Module) -> tuple[bool, int]:
         """Does any runner in this module thread a deadline into
-        ``make_cluster``?  Returns (capable, line of the call)."""
+        ``make_cluster`` or the driver ``run_cluster``?  Returns
+        (capable, line of the call)."""
         line = 0
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
@@ -332,11 +333,12 @@ class ProtocolExtractor:
             name = fn.id if isinstance(fn, ast.Name) else (
                 fn.attr if isinstance(fn, ast.Attribute) else ""
             )
-            if name != "make_cluster":
+            keyword = {"make_cluster": "timeout", "run_cluster": "deadline"}.get(name)
+            if keyword is None:
                 continue
             line = node.lineno
             for kw in node.keywords:
-                if kw.arg == "timeout" and not (
+                if kw.arg == keyword and not (
                     isinstance(kw.value, ast.Constant)
                     and kw.value.value is None
                 ):

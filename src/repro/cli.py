@@ -60,6 +60,7 @@ from repro.experiments.artifacts import (
 )
 from repro.experiments.registry import (
     KNOBS,
+    STRATEGIES,
     SweepCell,
     _cell_id,
     _validate,
@@ -70,6 +71,7 @@ from repro.experiments.registry import (
     override,
     resolve,
 )
+from repro.parallel.partition import ROW_PATTERNS
 from repro.sime.config import EVAL_MODES
 from repro.experiments.sweeps import (
     BACKENDS,
@@ -175,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", default=None,
                        help="run every cell of a registered scenario "
                             "in-process instead of one --circuit cell")
-    p_run.add_argument("--strategy", default="serial",
-                       choices=["serial", "type1", "type2", "type3", "type3x", "profile"])
+    p_run.add_argument("--strategy", default="serial", choices=list(STRATEGIES))
     p_run.add_argument("--objectives", type=_csv_list,
                        default=["wirelength", "power"],
                        help="comma-separated subset of wirelength,power,delay")
@@ -185,9 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--p", type=int, default=None,
                        help="processor count (parallel strategies)")
-    p_run.add_argument("--pattern", default="random",
-                       choices=["fixed", "random", "contiguous"],
-                       help="Type II row-allocation pattern")
+    p_run.add_argument("--pattern", default=None, choices=ROW_PATTERNS,
+                       help="Type II row-allocation pattern (default random)")
     p_run.add_argument("--retry-threshold", type=int, default=None,
                        help="Type III retry threshold (default ~4%% of budget)")
     p_run.add_argument("--out", default=None,
@@ -382,18 +382,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = base_spec(
         args.circuit, tuple(args.objectives), args.iterations, args.seed
     )
-    params: dict[str, Any] = {}
-    if args.strategy in ("type1", "type2", "type3", "type3x"):
-        default_p = 3 if args.strategy in ("type3", "type3x") else 2
-        params["p"] = args.p if args.p is not None else default_p
-    if args.strategy == "type2":
-        params["pattern"] = args.pattern
-    if args.strategy in ("type3", "type3x"):
-        params["retry_threshold"] = (
-            args.retry_threshold
-            if args.retry_threshold is not None
-            else max(1, args.iterations // 25)
-        )
+    # A flag for a param the strategy does not take is refused, not dropped.
+    strategy = STRATEGIES[args.strategy]
+    defaults = {"p": strategy.min_p, "pattern": "random",
+                "retry_threshold": max(1, args.iterations // 25)}
+    flags = {"p": args.p, "pattern": args.pattern,
+             "retry_threshold": args.retry_threshold}
+    params: dict[str, Any] = {
+        k: defaults[k] if v is None else v
+        for k, v in flags.items() if v is not None or k in strategy.params
+    }
     try:
         _validate(args.strategy, params)
     except ValueError as exc:

@@ -47,15 +47,18 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.analysis.profiling import run_profile
 from repro.experiments.artifacts import NON_IDENTITY_PARAMS
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
+from repro.parallel import type1, type2, type3, type3x
 from repro.parallel.faults import format_faults, parse_faults
 from repro.parallel.mpi.backend import (
     CLUSTERS,
     RANK_FAILURE_POLICIES,
     validate_cluster,
 )
-from repro.parallel.runners import ExperimentSpec
+from repro.parallel.partition import check_pattern
+from repro.parallel.runners import ExperimentSpec, ParallelOutcome, run_serial
 from repro.sime.config import EVAL_MODES
 
 __all__ = [
@@ -63,7 +66,9 @@ __all__ = [
     "StrategyGrid",
     "SweepCell",
     "SCENARIOS",
+    "Strategy",
     "STRATEGIES",
+    "get_strategy",
     "CLUSTERS",
     "PAPER_ITERS_T2_WP",
     "PAPER_ITERS_T3_WPD",
@@ -82,9 +87,47 @@ __all__ = [
     "derive_seeds",
 ]
 
-#: Strategy names accepted in grids (``profile`` wraps a serial run and
-#: reports work-category shares, reproducing the paper's gprof study).
-STRATEGIES = ("serial", "type1", "type2", "type3", "type3x", "profile")
+
+@dataclass(frozen=True)
+class Strategy:
+    """One strategy, declared once: its runner (``run(spec, **params)``),
+    its minimum rank count (the strategy module's own ``MIN_P``), the
+    runner params a cell may set and the :data:`KNOBS` that apply."""
+
+    run: Callable[..., ParallelOutcome]
+    min_p: int = 1
+    params: tuple[str, ...] = ()
+    knobs: tuple[str, ...] = ()
+
+
+_SERIAL_KNOBS = ("cluster", "eval_mode", "deadline")
+_RANK_KNOBS = _SERIAL_KNOBS + ("faults",)
+_STORE_KNOBS = _RANK_KNOBS + ("on_rank_failure",)
+
+#: Every strategy, by name (``profile`` wraps a serial run and reports
+#: work-category shares: the paper's gprof study).
+STRATEGIES: dict[str, Strategy] = {
+    "serial": Strategy(run_serial, knobs=_SERIAL_KNOBS),
+    "type1": Strategy(type1.run_type1, type1.MIN_P, ("p",), _RANK_KNOBS),
+    "type2": Strategy(type2.run_type2, type2.MIN_P,
+                      ("p", "pattern", "base_factor", "per_proc_frac"),
+                      _RANK_KNOBS),
+    "type3": Strategy(type3.run_type3, type3.MIN_P, ("p", "retry_threshold"),
+                      _STORE_KNOBS),
+    "type3x": Strategy(type3x.run_type3_diversified, type3.MIN_P,
+                       ("p", "retry_threshold", "crossover"), _STORE_KNOBS),
+    "profile": Strategy(run_profile, knobs=("eval_mode",)),
+}
+
+
+def get_strategy(name: str) -> Strategy:
+    try:
+        return STRATEGIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy {name!r}; expected one of {tuple(STRATEGIES)}"
+        ) from None
+
 
 #: Paper serial iteration budgets per experiment family.
 PAPER_ITERS_T2_WP = 3500  # Tables 1 and 2 (wirelength + power program)
@@ -93,9 +136,6 @@ PAPER_ITERS_T4 = 2500  # Table 4 (Type III, per processor)
 
 #: Iteration budget used when a scenario is resolved with ``smoke=True``.
 SMOKE_ITERATIONS = 8
-
-#: Minimum processor counts per strategy (mirrors the runner validations).
-_MIN_P = {"serial": 1, "profile": 1, "type1": 2, "type2": 2, "type3": 3, "type3x": 3}
 
 
 @dataclass(frozen=True)
@@ -119,10 +159,7 @@ class StrategyGrid:
     smoke: bool = True
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
+        get_strategy(self.strategy)
 
     def combinations(self) -> Iterable[dict[str, Any]]:
         """Yield one params dict per grid point."""
@@ -585,9 +622,10 @@ def custom_sweep(
     grids = []
     dropped_cells: list[tuple[str, str]] = []
     for strategy in strategies:
+        record = get_strategy(strategy)
         axes: list[tuple[str, tuple]] = []
-        if strategy in ("type1", "type2", "type3", "type3x"):
-            min_p = _MIN_P[strategy]
+        min_p = record.min_p
+        if "p" in record.params:
             ps = tuple(p for p in p_values if p >= min_p)
             if not ps:
                 raise ValueError(
@@ -599,9 +637,9 @@ def custom_sweep(
                 if p < min_p
             )
             axes.append(("p", ps))
-        if strategy == "type2":
+        if "pattern" in record.params:
             axes.insert(0, ("pattern", tuple(patterns)))
-        if strategy in ("type3", "type3x"):
+        if "retry_threshold" in record.params:
             axes.insert(0, ("retry_frac", tuple(retry_fracs)))
         grids.append(StrategyGrid(strategy, tuple(axes)))
     return Scenario(
@@ -703,22 +741,24 @@ def resolve(
     return cells
 
 
-def _validate(strategy: str, params: Mapping[str, Any]) -> None:
+def _validate(name: str, params: Mapping[str, Any]) -> None:
+    strategy = get_strategy(name)
+    for param in params:
+        if param not in strategy.params and param not in KNOBS:
+            raise ValueError(f"{name} takes no {param} parameter")
     p = params.get("p", 1)
-    if p < _MIN_P[strategy]:
-        raise ValueError(f"{strategy} needs p >= {_MIN_P[strategy]}, got {p}")
-    if strategy in ("type3", "type3x") and params.get("retry_threshold", 1) < 1:
+    if p < strategy.min_p:
+        raise ValueError(f"{name} needs p >= {strategy.min_p}, got {p}")
+    if params.get("retry_threshold", 1) < 1:
         raise ValueError("retry_threshold must be >= 1")
-    if strategy == "type2" and params.get("pattern", "fixed") not in (
-        "fixed", "random", "contiguous"
-    ):
-        raise ValueError(f"unknown row pattern {params.get('pattern')!r}")
+    if "pattern" in params:
+        check_pattern(params["pattern"])
     for knob in KNOBS.values():
         if not knob.on_spec and knob.name in params:
             knob.check(params[knob.name])
-            if not knob.applies(strategy, params):
+            if not knob.applies(name, params):
                 raise ValueError(
-                    f"{knob.name} does not apply to a {strategy} cell: {knob.why}"
+                    f"{knob.name} does not apply to a {name} cell: {knob.why}"
                 )
 
 
@@ -739,21 +779,28 @@ class Knob:
     """One run-time knob the CLI can force onto every cell of a grid.
 
     ``parse`` (or else membership in ``choices``) validates a value and
-    returns its canonical form; ``applies(strategy, params)`` picks the
-    cells the knob means anything to, and ``why`` explains a refusal;
-    ``tag`` is the artifact-name suffix a forced value adds.  The value
-    lives on the spec (``on_spec``) or in the runner params, and is part
-    of the cell id unless listed in ``artifacts.NON_IDENTITY_PARAMS``.
+    returns its canonical form; the knob applies to the strategies whose
+    :class:`Strategy` lists it, in cells whose params pass ``when``, and
+    ``why`` explains a refusal; ``tag`` is the artifact-name suffix a
+    forced value adds.  The value lives on the spec (``on_spec``) or in
+    the runner params, and is part of the cell id unless listed in
+    ``artifacts.NON_IDENTITY_PARAMS``.
     """
 
     name: str
     default: Any
-    applies: Callable[[str, Mapping[str, Any]], bool]
     why: str
     tag: Callable[[Any], str]
     choices: tuple[str, ...] = ()
     parse: Callable[[Any], Any] | None = None
     on_spec: bool = False
+    when: Callable[[Mapping[str, Any]], bool] | None = None
+
+    def applies(self, strategy: str, params: Mapping[str, Any]) -> bool:
+        """Does this knob mean anything to a ``strategy`` cell with ``params``?"""
+        return self.name in get_strategy(strategy).knobs and (
+            self.when is None or self.when(params)
+        )
 
     def check(self, value: Any) -> Any:
         if self.parse is not None:
@@ -773,25 +820,21 @@ class Knob:
 
 #: Every knob :func:`override` can force, in the order it applies them.
 KNOBS: dict[str, Knob] = {k.name: k for k in (
-    Knob("cluster", "sim", lambda strategy, params: strategy != "profile",
+    Knob("cluster", "sim",
          why="the profile pseudo-strategy runs in-process only",
          tag=lambda v: f"-{v}", choices=CLUSTERS, parse=validate_cluster),
-    Knob("eval_mode", "scalar", lambda strategy, params: True, why="",
+    Knob("eval_mode", "scalar", why="",
          tag=lambda v: "" if v == "scalar" else f"-{v}",
          choices=EVAL_MODES, on_spec=True),
     Knob("deadline", None,
-         lambda strategy, params: (
-             strategy != "profile" and params.get("cluster", "sim") != "sim"
-         ),
          why="only real-process cells (cluster=socket) run under a deadline",
-         tag=lambda v: "", parse=_positive_seconds),
+         tag=lambda v: "", parse=_positive_seconds,
+         when=lambda params: params.get("cluster", "sim") != "sim"),
     Knob("faults", None,
-         lambda strategy, params: strategy in ("type1", "type2", "type3", "type3x"),
          why="only the parallel strategies have ranks to fault",
          tag=lambda v: "-faults",
          parse=lambda v: format_faults(parse_faults(v))),
     Knob("on_rank_failure", "abort",
-         lambda strategy, params: strategy in ("type3", "type3x"),
          why="only type3/type3x can close out on the surviving ranks",
          tag=lambda v: "" if v == "abort" else f"-{v}",
          choices=RANK_FAILURE_POLICIES),

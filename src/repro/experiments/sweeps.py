@@ -13,7 +13,9 @@ resolves and runs them through a :class:`SweepBackend`:
 * :class:`ProcessPoolBackend` — the chunked backend at chunk size 1:
   one cell per pool task (maximal fan-out, per-cell setup cost).
 
-Each cell is a pure function of its spec and parameters (all randomness
+A cell runs as one lookup in the registry's strategy table:
+``get_strategy(cell.strategy).run(cell.spec, **params)``.  Each cell is a
+pure function of its spec and parameters (all randomness
 flows from ``spec.seed`` through :mod:`repro.utils.rng` streams), so every
 backend produces **identical** records modulo the host-dependent
 ``wall_seconds``; the determinism tests in ``tests/experiments`` pin that.
@@ -42,16 +44,11 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Protocol, Sequence
 
-from repro.analysis.profiling import profile_serial_run
 from repro.experiments.artifacts import CellCache, RunRecord
-from repro.experiments.registry import SweepCell
+from repro.experiments.registry import SweepCell, get_strategy
 from repro.parallel.faults import FaultPlan
 from repro.parallel.mpi.comm import CommError, DeadlockError
-from repro.parallel.runners import ParallelOutcome, run_serial
-from repro.parallel.type1 import run_type1
-from repro.parallel.type2 import run_type2
-from repro.parallel.type3 import run_type3
-from repro.parallel.type3x import run_type3_diversified
+from repro.parallel.runners import ParallelOutcome
 
 __all__ = [
     "classify_failure",
@@ -114,25 +111,6 @@ def _backoff_delay(cell_id: str, attempt: int, base: float) -> float:
     return base * (2 ** (attempt - 1)) * frac
 
 
-def _run_profile(cell: SweepCell) -> ParallelOutcome:
-    """The ``profile`` pseudo-strategy: a serial run plus gprof-style shares."""
-    report = profile_serial_run(cell.spec)
-    return ParallelOutcome(
-        strategy="profile",
-        circuit=report.circuit,
-        objectives=report.objectives,
-        p=1,
-        iterations=report.iterations,
-        runtime=report.total_model_seconds,
-        best_mu=0.0,
-        extras={
-            "shares": report.shares,
-            "allocation_share": report.allocation_share,
-            "version": report.version_key(),
-        },
-    )
-
-
 def _dispatch(cell: SweepCell, attempt: int = 1) -> ParallelOutcome:
     params = cell.params_dict()
     faults = params.get("faults")
@@ -145,19 +123,7 @@ def _dispatch(cell: SweepCell, attempt: int = 1) -> ParallelOutcome:
             params["faults"] = plan
         else:
             del params["faults"]
-    if cell.strategy == "serial":
-        return run_serial(cell.spec, **params)
-    if cell.strategy == "profile":
-        return _run_profile(cell)
-    if cell.strategy == "type1":
-        return run_type1(cell.spec, **params)
-    if cell.strategy == "type2":
-        return run_type2(cell.spec, **params)
-    if cell.strategy == "type3":
-        return run_type3(cell.spec, **params)
-    if cell.strategy == "type3x":
-        return run_type3_diversified(cell.spec, **params)
-    raise ValueError(f"unknown strategy {cell.strategy!r}")
+    return get_strategy(cell.strategy).run(cell.spec, **params)
 
 
 def _failure_record(

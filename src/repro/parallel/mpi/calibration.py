@@ -155,16 +155,15 @@ def measure_host_samples(
 ) -> list[tuple[dict[str, float], float]]:
     """Measured ``(unit_counts, wall_seconds)`` pairs for the host.
 
-    Each budget runs one serial SimE cell through a one-rank
-    :class:`~repro.parallel.mpi.socket_backend.SocketCluster` — a real
+    Each budget runs one serial SimE cell through a one-rank socket
+    cluster (:func:`~repro.parallel.runners.run_cluster`) — a real
     child process, so the measured clock is exactly what the socket
     backend's parallel runs experience.  Wall time is the rank's
     in-child elapsed (process spawn excluded: spawn cost is overhead of
     the backend, not of the modelled work).
     """
     # Deferred: runners imports this module for the default models.
-    from repro.parallel.mpi.socket_backend import SocketCluster
-    from repro.parallel.runners import ExperimentSpec, serial_spmd
+    from repro.parallel.runners import ExperimentSpec, run_cluster, serial_spmd
 
     samples: list[tuple[dict[str, float], float]] = []
     for iterations in budgets:
@@ -176,9 +175,7 @@ def measure_host_samples(
             iterations=iterations,
             seed=seed,
         )
-        res = SocketCluster(1, work_model=calibrated_work_model()).run(
-            serial_spmd, kwargs={"spec": spec}
-        )
+        res, _ = run_cluster(serial_spmd, spec, 1, {}, cluster="socket")
         samples.append((res.meters[0].snapshot(), res.clocks[0]))
     return samples
 

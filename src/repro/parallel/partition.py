@@ -25,11 +25,22 @@ from __future__ import annotations
 from repro.utils.rng import RngStream
 
 __all__ = [
+    "ROW_PATTERNS",
+    "check_pattern",
     "fixed_row_pattern",
     "random_row_pattern",
     "contiguous_row_pattern",
     "pattern_by_name",
 ]
+
+#: The pattern names :func:`pattern_by_name` dispatches on.
+ROW_PATTERNS = ("fixed", "random", "contiguous")
+
+
+def check_pattern(name: str) -> None:
+    """The one row-pattern name check every caller shares."""
+    if name not in ROW_PATTERNS:
+        raise ValueError(f"unknown row pattern {name!r}")
 
 
 def _check(num_rows: int, m: int) -> None:
@@ -91,10 +102,9 @@ def pattern_by_name(
 ) -> list[list[int]]:
     """Dispatch on the paper's pattern names: ``fixed`` / ``random`` /
     ``contiguous`` (ablation)."""
+    check_pattern(name)
     if name == "fixed":
         return fixed_row_pattern(num_rows, m, iteration)
     if name == "random":
         return random_row_pattern(num_rows, m, rng)
-    if name == "contiguous":
-        return contiguous_row_pattern(num_rows, m)
-    raise ValueError(f"unknown row pattern {name!r}")
+    return contiguous_row_pattern(num_rows, m)

@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: specs, problem building, serial baseline.
+"""Shared experiment plumbing: specs, problem building, the cluster driver,
+the serial baseline.
 
 Every experiment in the paper is "one circuit, one objective set, one
 iteration budget, one seed" — captured here as :class:`ExperimentSpec`.
@@ -7,6 +8,10 @@ problem instances through :func:`build_problem`, which guarantees that
 serial and parallel runs of the same spec share the netlist stand-in, the
 grid, the cost-model parameters **and the initial placement** (the paper
 runs "the same starting solution but with different randomization seeds").
+
+Every cluster run — each parallel strategy's, and the serial baseline's
+on a real backend — goes through one driver, :func:`run_cluster`; the
+strategy runners keep their own validation, SPMD body and outcome fields.
 
 RNG discipline
 --------------
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,7 +40,11 @@ from repro.layout.initial import random_placement
 from repro.layout.placement import Placement
 from repro.netlist.core import Netlist
 from repro.netlist.suite import paper_circuit
+from repro.parallel.faults import FaultPlan, as_plan
+from repro.parallel.mpi.backend import make_cluster
 from repro.parallel.mpi.calibration import calibrated_work_model
+from repro.parallel.mpi.comm import ClusterRunResult
+from repro.parallel.mpi.netmodel import NetworkModel
 from repro.sime.config import SimEConfig
 from repro.sime.engine import SimulatedEvolution
 from repro.utils.rng import RngStream
@@ -47,6 +56,7 @@ __all__ = [
     "build_problem",
     "make_config",
     "stream_for",
+    "run_cluster",
     "run_serial",
     "serial_spmd",
     "INIT_STREAM",
@@ -181,6 +191,20 @@ class ParallelOutcome:
     best_costs: dict[str, float] = field(default_factory=dict)
     history: list[tuple[int, float, float]] = field(default_factory=list)
     extras: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def for_spec(
+        cls, strategy: str, spec: "ExperimentSpec", p: int, iterations: int,
+        runtime: float, best: dict[str, Any], extras: dict[str, Any],
+    ) -> "ParallelOutcome":
+        """A run's outcome; ``best`` carries its best µ, costs and history."""
+        return cls(
+            strategy=strategy, circuit=spec.circuit,
+            objectives=spec.objectives, p=p, iterations=iterations,
+            runtime=runtime, best_mu=best["best_mu"],
+            best_costs=best["best_costs"], history=best["history"],
+            extras=extras,
+        )
 
     def time_to_quality(self, target_mu: float) -> float | None:
         """Model-time when quality first reached ``target_mu`` (None if never)."""
@@ -322,15 +346,9 @@ def build_problem(spec: ExperimentSpec, meter: WorkMeter | None = None) -> Probl
     )
 
 
-def serial_spmd(comm: Any, spec: ExperimentSpec) -> dict[str, Any]:
-    """The serial SimE loop as a one-rank SPMD body.
-
-    Lets the serial baseline execute on any cluster backend — in
-    particular a one-rank real-process cluster, whose ``comm.elapsed()``
-    measures the wall-clock baseline of the socket speed-up tables.
-    Module-level (picklable) so the spawn start method can ship it.
-    """
-    problem = build_problem(spec, meter=comm.meter)
+def _serial_run(spec: ExperimentSpec, meter: WorkMeter) -> dict[str, Any]:
+    """The serial SimE loop on ``meter``'s clock, as a plain record."""
+    problem = build_problem(spec, meter)
     rng = stream_for(spec.seed, SERIAL_STREAM, "serial-sel")
     sime = SimulatedEvolution(problem.engine, make_config(spec), rng)
     result = sime.run(problem.initial_placement())
@@ -341,7 +359,47 @@ def serial_spmd(comm: Any, spec: ExperimentSpec) -> dict[str, Any]:
         "model_seconds": result.model_seconds,
         "work_units": result.work_units,
         "history": [(r.iteration, r.mu, r.model_seconds) for r in result.history],
-        "elapsed": comm.elapsed(),
+    }
+
+
+def serial_spmd(comm: Any, spec: ExperimentSpec) -> dict[str, Any]:
+    """The serial SimE loop as a one-rank SPMD body (module-level, so the
+    spawn start method can ship it); on a real-process cluster its
+    ``elapsed`` is the wall-clock baseline of the socket speed-ups."""
+    return {**_serial_run(spec, comm.meter), "elapsed": comm.elapsed()}
+
+
+def run_cluster(
+    fn: Callable[..., Any],
+    spec: ExperimentSpec,
+    p: int,
+    kwargs: dict[str, Any],
+    cluster: str = "sim",
+    network: NetworkModel | None = None,
+    work_model: WorkModel | None = None,
+    deadline: float | None = None,
+    faults: str | FaultPlan | None = None,
+    on_rank_failure: str = "abort",
+    trace_dir: str | None = None,
+) -> tuple[ClusterRunResult, dict[str, Any]]:
+    """Run ``fn(comm, spec=spec, **kwargs)`` on a ``p``-rank cluster.
+
+    The one place a run's cluster is built, by
+    :func:`~repro.parallel.mpi.backend.make_cluster`: ``deadline`` is its
+    ``timeout`` and ``faults`` is seeded with ``spec.seed``.  Returns the
+    run result and the extras of a real-backend record (none on sim).
+    """
+    res = make_cluster(
+        cluster, p, network=network, work_model=work_model, timeout=deadline,
+        faults=as_plan(faults, spec.seed), on_rank_failure=on_rank_failure,
+        trace_dir=trace_dir,
+    ).run(fn, kwargs={"spec": spec, **kwargs})
+    if cluster == "sim":
+        return res, {}
+    return res, {
+        "cluster": cluster,
+        "model_seconds": [m.seconds() for m in res.meters],
+        "wall_seconds": res.makespan,
     }
 
 
@@ -353,53 +411,23 @@ def run_serial(
 ) -> ParallelOutcome:
     """The serial SimE baseline every parallel strategy is compared to.
 
-    ``cluster="sim"`` (default) runs in-process and reports deterministic
-    model-seconds, bit-identical to every earlier release.
-    ``cluster="socket"`` runs the same loop in one real child process and
-    reports its wall-clock — the serial baseline the socket backend's
-    speed-ups are computed against (model-seconds ride along in
-    ``extras``).
+    ``cluster="sim"`` (default) runs in-process; any other backend runs
+    the same loop as a one-rank :func:`run_cluster` and reports its
+    wall-clock — the baseline of the socket speed-ups (model-seconds
+    ride along in ``extras``).
     """
-    if cluster != "sim":
-        from repro.parallel.mpi.backend import make_cluster
-
-        # make_cluster validates the name (raising on unknown backends).
-        res = make_cluster(cluster, 1, work_model=work_model, timeout=deadline).run(
-            serial_spmd, kwargs={"spec": spec}
+    if cluster == "sim":
+        r = _serial_run(spec, WorkMeter(work_model or calibrated_work_model()))
+        runtime, real = r["model_seconds"], {}
+    else:
+        res, real = run_cluster(
+            serial_spmd, spec, 1, {}, cluster=cluster, work_model=work_model,
+            deadline=deadline,
         )
-        r0 = res.results[0]
-        return ParallelOutcome(
-            strategy="serial",
-            circuit=spec.circuit,
-            objectives=spec.objectives,
-            p=1,
-            iterations=r0["iterations"],
-            runtime=r0["elapsed"],
-            best_mu=r0["best_mu"],
-            best_costs=r0["best_costs"],
-            history=r0["history"],
-            extras={
-                "work_units": r0["work_units"],
-                "cluster": cluster,
-                "model_seconds": r0["model_seconds"],
-                "wall_seconds": res.makespan,
-            },
-        )
-    meter = WorkMeter(work_model or calibrated_work_model())
-    problem = build_problem(spec, meter)
-    rng = stream_for(spec.seed, SERIAL_STREAM, "serial-sel")
-    sime = SimulatedEvolution(problem.engine, make_config(spec), rng)
-    result = sime.run(problem.initial_placement())
-    history = [(r.iteration, r.mu, r.model_seconds) for r in result.history]
-    return ParallelOutcome(
-        strategy="serial",
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=1,
-        iterations=result.iterations,
-        runtime=result.model_seconds,
-        best_mu=result.best_mu,
-        best_costs=result.best_costs,
-        history=history,
-        extras={"work_units": result.work_units},
+        r = res.results[0]
+        # The serial record keeps its one rank's scalar model-seconds.
+        runtime, real = r["elapsed"], {**real, "model_seconds": r["model_seconds"]}
+    return ParallelOutcome.for_spec(
+        "serial", spec, 1, r["iterations"], runtime, r,
+        {"work_units": r["work_units"], **real},
     )

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from repro.cost.engine import CostEngine
 from repro.cost.workmeter import WorkModel
 from repro.layout.placement import Placement
-from repro.parallel.faults import FaultPlan, as_plan
-from repro.parallel.mpi.backend import make_cluster
+from repro.parallel.faults import FaultPlan
 from repro.parallel.mpi.comm import Communicator
 from repro.parallel.mpi.netmodel import NetworkModel
 from repro.parallel.runners import (
@@ -47,12 +46,16 @@ from repro.parallel.runners import (
     SERIAL_STREAM,
     build_problem,
     make_config,
+    run_cluster,
     stream_for,
 )
 from repro.sime.allocation import Allocator
 from repro.sime.selection import select_cells
 
-__all__ = ["run_type1", "partition_cells", "assign_net_owners"]
+__all__ = ["run_type1", "partition_cells", "assign_net_owners", "MIN_P"]
+
+#: Fewest ranks Type I runs on: the master plus one slave.
+MIN_P = 2
 
 
 def partition_cells(netlist, size: int) -> list[list[int]]:
@@ -206,37 +209,19 @@ def run_type1(
     """Run Type I parallel SimE on a ``p``-rank cluster backend.
 
     ``iterations`` defaults to the spec's serial budget — Type I replays
-    the serial search, so the paper compares equal-iteration runs.
-    ``cluster`` selects the backend: ``"sim"`` (deterministic virtual
-    clocks, the default — results bit-identical to earlier releases) or
-    ``"socket"`` (real processes; ``runtime`` becomes wall-clock).
-    ``deadline`` overrides the real backend's run deadline
-    in seconds (ignored on ``"sim"``).
+    the serial search, so the paper compares equal-iteration runs.  The
+    backend arguments go to :func:`~repro.parallel.runners.run_cluster`.
     """
-    if p < 2:
+    if p < MIN_P:
         raise ValueError("Type I needs at least 2 ranks (master + 1 slave)")
     iters = iterations if iterations is not None else spec.iterations
-    plan = as_plan(faults, spec.seed)
-    cl = make_cluster(
-        cluster, p, network=network, work_model=work_model, timeout=deadline,
-        faults=plan, trace_dir=trace_dir,
+    res, real = run_cluster(
+        _spmd, spec, p, {"iterations": iters}, cluster=cluster,
+        network=network, work_model=work_model, deadline=deadline,
+        faults=faults, trace_dir=trace_dir,
     )
-    res = cl.run(_spmd, kwargs={"spec": spec, "iterations": iters})
     master = res.results[0]
-    extras = {"best_rows": master["best_rows"], "rank_clocks": res.clocks}
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    return ParallelOutcome(
-        strategy="type1",
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=p,
-        iterations=iters,
-        runtime=res.makespan,
-        best_mu=master["best_mu"],
-        best_costs=master["best_costs"],
-        history=master["history"],
-        extras=extras,
+    return ParallelOutcome.for_spec(
+        "type1", spec, p, iters, res.makespan, master,
+        {"best_rows": master["best_rows"], "rank_clocks": res.clocks, **real},
     )

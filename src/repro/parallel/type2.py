@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from repro.cost.workmeter import WorkModel
 from repro.layout.placement import Placement
-from repro.parallel.faults import FaultPlan, as_plan
-from repro.parallel.mpi.backend import make_cluster
+from repro.parallel.faults import FaultPlan
 from repro.parallel.mpi.comm import Communicator
 from repro.parallel.mpi.netmodel import NetworkModel
-from repro.parallel.partition import pattern_by_name
+from repro.parallel.partition import check_pattern, pattern_by_name
 from repro.parallel.runners import (
     ExperimentSpec,
     ParallelOutcome,
@@ -37,12 +36,16 @@ from repro.parallel.runners import (
     build_problem,
     make_config,
     rank_stream_id,
+    run_cluster,
     stream_for,
 )
 from repro.sime.allocation import Allocator
 from repro.sime.selection import select_cells
 
-__all__ = ["run_type2", "parallel_iterations"]
+__all__ = ["run_type2", "parallel_iterations", "MIN_P"]
+
+#: Fewest ranks Type II runs on: the merging master plus one slave.
+MIN_P = 2
 
 
 def parallel_iterations(
@@ -188,59 +191,36 @@ def run_type2(
     """Run Type II parallel SimE on a ``p``-rank cluster backend.
 
     ``pattern`` is ``"fixed"`` or ``"random"`` (Tables 2/3) or
-    ``"contiguous"`` (mobility ablation).  ``iterations`` overrides the
-    paper-scaled budget from :func:`parallel_iterations`.  ``cluster``
-    selects the backend: ``"sim"`` (deterministic, bit-identical to
-    earlier releases) or ``"socket"`` (real processes,
-    wall-clock runtime; the simulated ranks' shared-memory evaluation
-    adoption does not apply — each process evaluates the broadcast
-    solution itself, as the paper's real cluster did).  All Type II
-    traffic is rank-addressed, so solutions and meters are bit-identical
-    run-to-run on every backend at any ``p`` — the socket backend's
-    p ∈ {16, 32, 64} speedup ladder relies on this.  ``deadline``
-    overrides the real backend's run deadline (ignored on ``"sim"``).
+    ``"contiguous"`` (mobility ablation); an unknown one raises before
+    any rank starts.  ``iterations`` overrides the paper-scaled budget
+    from :func:`parallel_iterations`.  The backend arguments go to
+    :func:`~repro.parallel.runners.run_cluster`.  Off ``"sim"`` the
+    simulated ranks' shared-memory evaluation adoption does not apply —
+    each process evaluates the broadcast solution itself, as the paper's
+    real cluster did.  All Type II traffic is rank-addressed, so
+    solutions and meters are bit-identical run-to-run on every backend
+    at any ``p`` — the socket backend's p ∈ {16, 32, 64} speedup ladder
+    relies on this.
     """
-    if p < 2:
+    if p < MIN_P:
         raise ValueError("Type II needs at least 2 ranks")
+    check_pattern(pattern)
     iters = (
         iterations
         if iterations is not None
         else parallel_iterations(spec.iterations, p, base_factor, per_proc_frac)
     )
-    plan = as_plan(faults, spec.seed)
-    cl = make_cluster(
-        cluster, p, network=network, work_model=work_model, timeout=deadline,
-        faults=plan, trace_dir=trace_dir,
-    )
-    res = cl.run(
-        _spmd,
-        kwargs={
-            "spec": spec,
-            "iterations": iters,
-            "pattern": pattern,
-            # Out-of-band cache sharing needs a shared address space.
-            "shared": {} if cluster == "sim" else None,
-        },
+    # Out-of-band cache sharing needs a shared address space.
+    shared = {} if cluster == "sim" else None
+    res, real = run_cluster(
+        _spmd, spec, p,
+        {"iterations": iters, "pattern": pattern, "shared": shared},
+        cluster=cluster, network=network, work_model=work_model,
+        deadline=deadline, faults=faults, trace_dir=trace_dir,
     )
     master = res.results[0]
-    extras = {
-        "best_rows": master["best_rows"],
-        "pattern": pattern,
-        "rank_clocks": res.clocks,
-    }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
-    return ParallelOutcome(
-        strategy=f"type2-{pattern}",
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=p,
-        iterations=iters,
-        runtime=res.makespan,
-        best_mu=master["best_mu"],
-        best_costs=master["best_costs"],
-        history=master["history"],
-        extras=extras,
+    return ParallelOutcome.for_spec(
+        f"type2-{pattern}", spec, p, iters, res.makespan, master,
+        {"best_rows": master["best_rows"], "pattern": pattern,
+         "rank_clocks": res.clocks, **real},
     )

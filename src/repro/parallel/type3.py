@@ -34,7 +34,6 @@ from typing import Any, Callable
 from repro.cost.workmeter import WorkModel
 from repro.layout.placement import Placement
 from repro.parallel.faults import FaultPlan, as_plan
-from repro.parallel.mpi.backend import make_cluster
 from repro.parallel.mpi.comm import (
     ANY_SOURCE,
     ClusterRunResult,
@@ -48,11 +47,15 @@ from repro.parallel.runners import (
     build_problem,
     make_config,
     rank_stream_id,
+    run_cluster,
     stream_for,
 )
 from repro.sime.engine import SimulatedEvolution
 
-__all__ = ["run_type3"]
+__all__ = ["run_type3", "MIN_P"]
+
+#: Fewest ranks the Type III family runs on: the store plus two searchers.
+MIN_P = 3
 
 _REPORT = "report"
 _REQUEST = "request"
@@ -272,25 +275,19 @@ def _run_store(
     ``extras["degraded"]``.  ``own_extras(master, searchers, res)`` adds
     the strategy's own extras.
     """
-    if p < 3:
+    if p < MIN_P:
         raise ValueError("Type III needs at least 3 ranks (store + 2 searchers)")
     if retry_threshold < 1:
         raise ValueError("retry_threshold must be >= 1")
     iters = iterations if iterations is not None else spec.iterations
     plan = as_plan(faults, spec.seed)
-    cl = make_cluster(
-        cluster, p, network=network, work_model=work_model, timeout=deadline,
-        faults=plan, on_rank_failure=on_rank_failure, trace_dir=trace_dir,
-    )
-    res = cl.run(
-        _spmd,
-        kwargs={
-            "spec": spec,
-            "iterations": iters,
-            "retry_threshold": retry_threshold,
-            "variant": variant,
-            "on_rank_failure": on_rank_failure,
-        },
+    res, real = run_cluster(
+        _spmd, spec, p,
+        {"iterations": iters, "retry_threshold": retry_threshold,
+         "variant": variant, "on_rank_failure": on_rank_failure},
+        cluster=cluster, network=network, work_model=work_model,
+        deadline=deadline, faults=plan, on_rank_failure=on_rank_failure,
+        trace_dir=trace_dir,
     )
     if 0 in res.lost:
         raise CommError(
@@ -309,11 +306,8 @@ def _run_store(
         "retry_threshold": retry_threshold,
         **own_extras(master, searchers, res),
         "slave_mus": [s["best_mu"] for s in searchers],
+        **real,
     }
-    if cluster != "sim":
-        extras["cluster"] = cluster
-        extras["model_seconds"] = [m.seconds() for m in res.meters]
-        extras["wall_seconds"] = res.makespan
     if plan is not None:
         extras["faults"] = plan.spec()
     if on_rank_failure != "abort":
@@ -327,18 +321,10 @@ def _run_store(
                 for r in lost_ranks
             },
         }
-    return ParallelOutcome(
-        strategy=strategy,
-        circuit=spec.circuit,
-        objectives=spec.objectives,
-        p=p,
-        iterations=iters,
-        # The searchers' makespan (the store idles by design).
-        runtime=max(s["elapsed"] for s in searchers),
-        best_mu=max(master["best_mu"], best["best_mu"]),
-        best_costs=best["best_costs"],
-        history=best["history"],
-        extras=extras,
+    # The runtime is the searchers' makespan (the store idles by design).
+    return ParallelOutcome.for_spec(
+        strategy, spec, p, iters, max(s["elapsed"] for s in searchers),
+        {**best, "best_mu": max(master["best_mu"], best["best_mu"])}, extras,
     )
 
 
@@ -360,18 +346,16 @@ def run_type3(
     ``p`` counts the central store: Table 4's "p = 3" is one store plus
     two searching slaves.  Serial and parallel runs use the same iteration
     budget per processor (paper: "Both the serial and parallel algorithms
-    were run for 2500 iterations at each processor").  ``cluster="socket"``
-    runs on real processes — message arrival order (and hence the
-    cooperative search result) then varies run to run, exactly as it did
-    on the paper's cluster; ``"sim"`` stays deterministic.
-
-    ``faults`` arms a deterministic fault plan (spec string or
-    :class:`FaultPlan`).  ``on_rank_failure="degrade"`` lets the run
-    survive mid-run searcher loss on the real backend: the store and
-    the backend stop waiting for the dead rank, the outcome is built
-    from the survivors, and ``extras["degraded"]`` records what was
-    lost (losing the store itself still aborts).  The default
-    ``"abort"`` matches the historical fail-fast behavior exactly.
+    were run for 2500 iterations at each processor").  The backend
+    arguments go to :func:`~repro.parallel.runners.run_cluster`.  On
+    ``"socket"`` message arrival order (and hence the cooperative search
+    result) varies run to run, exactly as it did on the paper's cluster;
+    ``"sim"`` stays deterministic.  ``on_rank_failure="degrade"`` lets
+    the run survive mid-run searcher loss on the real backend: the store
+    and the backend stop waiting for the dead rank, the outcome is built
+    from the survivors, and ``extras["degraded"]`` records what was lost
+    (losing the store itself still aborts).  The default ``"abort"``
+    matches the historical fail-fast behavior exactly.
     """
     return _run_store(
         "type3", "plain",

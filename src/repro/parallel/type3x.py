@@ -121,11 +121,8 @@ def run_type3_diversified(
 ) -> ParallelOutcome:
     """Run the diversified Type III variant (Section 7 future work).
 
-    ``cluster`` selects the backend — ``"sim"`` (deterministic, default)
-    or ``"socket"`` (real processes; arrival order and hence the cooperative
-    result vary run to run).  ``faults`` / ``on_rank_failure`` behave as
-    in :func:`repro.parallel.type3.run_type3`: a degraded run survives
-    searcher loss and records it under ``extras["degraded"]``.
+    Every other argument behaves as in
+    :func:`repro.parallel.type3.run_type3`.
     """
     return _run_store(
         "type3x" if crossover else "type3-diverse",

@@ -26,6 +26,7 @@ STATIC_PAIRS = [
     ("P502", "collective_bad.py", "collective_ok.py"),
     ("P503", "cycle_bad.py", "cycle_ok.py"),
     ("P504", "deadline_bad.py", "deadline_ok.py"),
+    ("P504", "deadline_driver_bad.py", "deadline_driver_ok.py"),
 ]
 
 

@@ -40,7 +40,7 @@ def test_every_strategy_yields_master_and_worker(protocols):
         assert proto.kind == "strategy"
         assert set(proto.roles) == {"master", "worker"}
         assert proto.deadline_capable, (
-            f"{name}'s runner threads --deadline into make_cluster"
+            f"{name}'s runner threads --deadline into run_cluster"
         )
 
 

@@ -36,6 +36,12 @@ def test_run_serial(capsys):
      "retry_threshold must be >= 1"),
     (["--strategy", "type1", "--p", "1"], "type1 needs p >= 2, got 1"),
     (["--strategy", "type3", "--p", "2"], "type3 needs p >= 3, got 2"),
+    (["--strategy", "serial", "--p", "4"], "serial takes no p parameter"),
+    (["--strategy", "type1", "--retry-threshold", "5"],
+     "type1 takes no retry_threshold parameter"),
+    (["--strategy", "type3", "--pattern", "fixed"],
+     "type3 takes no pattern parameter"),
+    (["--strategy", "profile", "--p", "2"], "profile takes no p parameter"),
 ])
 def test_run_rejects_an_invalid_cell_before_running(argv, message, capsys):
     """The cell is validated like a registry cell: one line, exit 2."""
@@ -144,15 +150,24 @@ def test_run_rejects_unknown_circuit():
         main(["run", "--circuit", "bogus"])
 
 
+def _patch_runner(monkeypatch, strategy, run):
+    """Swap one strategy's runner in the table sweep dispatch reads."""
+    from dataclasses import replace
+
+    from repro.experiments.registry import STRATEGIES
+
+    monkeypatch.setitem(
+        STRATEGIES, strategy, replace(STRATEGIES[strategy], run=run)
+    )
+
+
 def test_run_failed_cell_exits_nonzero(capsys, monkeypatch):
     # A valid cell whose run fails: the exit code must say so.  (An
     # invalid cell never runs; see the test above.)
-    import repro.experiments.sweeps as sweeps_mod
-
     def boom(spec, **params):
         raise RuntimeError("type3 exploded")
 
-    monkeypatch.setattr(sweeps_mod, "run_type3", boom)
+    _patch_runner(monkeypatch, "type3", boom)
     code = main([
         "run", "--circuit", "s1196", "--strategy", "type3", "--p", "3",
         "--iterations", "4",
@@ -162,12 +177,10 @@ def test_run_failed_cell_exits_nonzero(capsys, monkeypatch):
 
 
 def test_sweep_failed_cells_exit_nonzero(tmp_path, capsys, monkeypatch):
-    import repro.experiments.sweeps as sweeps_mod
-
     def boom(spec, **params):
         raise RuntimeError("type1 exploded")
 
-    monkeypatch.setattr(sweeps_mod, "run_type1", boom)
+    _patch_runner(monkeypatch, "type1", boom)
     code = main(["sweep", "--smoke", "--out", str(tmp_path), "--no-cache"])
     assert code == 1
     err = capsys.readouterr().err

@@ -19,8 +19,6 @@ from repro.experiments.registry import (
 from repro.netlist.suite import list_all_circuits, list_paper_circuits
 from repro.parallel.runners import ExperimentSpec
 
-_MIN_P = {"serial": 1, "profile": 1, "type1": 2, "type2": 2, "type3": 3, "type3x": 3}
-
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_scenario_resolves_to_valid_cells(name):
@@ -36,7 +34,7 @@ def test_every_scenario_resolves_to_valid_cells(name):
         assert cell.spec.circuit in known_circuits
         assert cell.spec.iterations >= 1
         params = cell.params_dict()
-        assert params.get("p", 1) >= _MIN_P[cell.strategy]
+        assert params.get("p", 1) >= STRATEGIES[cell.strategy].min_p
         if cell.strategy in ("type3", "type3x"):
             assert params["retry_threshold"] >= 1
         if cell.strategy == "type2":

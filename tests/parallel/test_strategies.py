@@ -140,6 +140,18 @@ def test_type2_needs_two_ranks():
         run_type2(SPEC, p=1)
 
 
+@pytest.mark.parametrize("cluster", ["sim", "socket"])
+def test_type2_rejects_an_unknown_pattern_before_any_rank(cluster, monkeypatch):
+    import repro.parallel.runners as runners_mod
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built for an invalid pattern")
+
+    monkeypatch.setattr(runners_mod, "make_cluster", no_cluster)
+    with pytest.raises(ValueError, match="unknown row pattern 'bogus'"):
+        run_type2(SPEC, p=2, pattern="bogus", cluster=cluster)
+
+
 # ---------------------------------------------------------------- type 3
 def test_type3_runtime_tracks_serial(serial):
     out = run_type3(SPEC, p=3, retry_threshold=3)
