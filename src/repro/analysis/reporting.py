@@ -317,7 +317,8 @@ def render_retry_records(records: Sequence["RunRecord"], title: str | None = Non
     serial = _serial_by_group(ok)
     groups = _group_order(ok)
     multi_seed = len({g[1] for g in groups}) > 1
-    variants = {name: _by_group(ok, name) for name in ("type3", "type3x")}
+    names = sorted({r.strategy for r in ok} - {"serial"})
+    variants = {name: _by_group(ok, name) for name in names}
     rows = []
     for g in groups:
         if g not in serial:

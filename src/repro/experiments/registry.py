@@ -602,7 +602,7 @@ def get_scenario(name: str) -> Scenario:
 
 def custom_sweep(
     circuits: Iterable[str],
-    strategies: Iterable[str] = ("serial", "type2"),
+    strategies: Iterable[str],
     p_values: Iterable[int] = (2, 4),
     patterns: Iterable[str] = ("random",),
     objectives: tuple[str, ...] = ("wirelength", "power"),
@@ -624,8 +624,8 @@ def custom_sweep(
     for strategy in strategies:
         record = get_strategy(strategy)
         axes: list[tuple[str, tuple]] = []
-        min_p = record.min_p
         if "p" in record.params:
+            min_p = record.min_p
             ps = tuple(p for p in p_values if p >= min_p)
             if not ps:
                 raise ValueError(
