@@ -1,23 +1,20 @@
-"""``repro commcheck``: comm-protocol model checker + race sanitizer.
+"""The machinery behind the comm-protocol rules (P5xx) of ``repro lint``.
 
-Static half (always on): :mod:`repro.check.extract` abstracts each SPMD
+Static half (P501–P504): :mod:`repro.check.extract` abstracts each SPMD
 strategy and collective implementation into per-role communication
-skeletons; :mod:`repro.check.analysis` runs the P501–P504 battery over
-them (tag matching, collective alignment, bounded deadlock exploration,
-deadline coverage against the fault model).
+skeletons, built from the modules the lint run already parsed;
+:mod:`repro.check.analysis` checks them (tag matching, collective
+alignment, bounded deadlock exploration, deadline coverage against the
+fault model).
 
-Dynamic half (``--trace``): :mod:`repro.check.driver` records sim-backend
-smoke runs through :mod:`repro.parallel.trace`;
+Dynamic half (P505/P506, ``repro lint --trace`` / ``--trace-dir``):
+:mod:`repro.check.driver` records sim-backend smoke runs through
+:mod:`repro.parallel.trace`, or reads recorded traces;
 :mod:`repro.check.replay` reconstructs happens-before with vector clocks
 and flags ANY_SOURCE message races (P505) and trace/model divergence
 (P506).
 
-Like :mod:`repro.lint`, the checker is stdlib-only and never imports the
-code it checks for the static pass; findings share the lint findings
-schema and ``# repro: noqa[P5xx] -- justification`` suppressions.
+Each rule is declared, with its id, severity and invariant, next to
+the analysis that implements it.  The static half is stdlib-only and
+never imports the code it checks.
 """
-
-from repro.check.analysis import DETECTORS, analyze_protocols
-from repro.check.extract import extract_protocols
-
-__all__ = ["DETECTORS", "analyze_protocols", "extract_protocols"]

@@ -1,6 +1,7 @@
 """Matching + deadlock analyses over extracted protocol skeletons.
 
-Static detectors (the dynamic P505/P506 live in :mod:`repro.check.replay`):
+The static protocol rules of ``repro lint``, each declared here next to
+its analysis (the dynamic P505/P506 live in :mod:`repro.check.replay`):
 
 * **P501 — unmatched tag**: a point-to-point send whose (resolved) tag
   no receive in the protocol ever asks for, or a receive waiting on a
@@ -32,7 +33,7 @@ Static detectors (the dynamic P505/P506 live in :mod:`repro.check.replay`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.check.events import (
     ANY,
@@ -49,96 +50,89 @@ from repro.check.events import (
     Protocol,
 )
 from repro.check.extract import KILLING_FAULT_KINDS
-from repro.lint.findings import Finding, Severity
+from repro.lint.context import ModuleContext, ProjectModel
+from repro.lint.findings import Finding
+from repro.lint.rules import ProjectRule, register, rules_by_id
 
 __all__ = [
-    "DETECTORS",
-    "analyze_protocols",
+    "ProtocolRule",
+    "TagMatching",
+    "CollectiveOrder",
+    "NoBlockingCycle",
+    "DeadlinedRecv",
     "explore_deadlocks",
+    "finding",
     "Deadlock",
 ]
 
-#: Detector id -> (severity, one-line invariant).  P505/P506 are the
-#: dynamic sanitizer's ids (replay.py) but belong to the same battery.
-DETECTORS: dict[str, tuple[str, str]] = {
-    "P500": (
-        Severity.ERROR,
-        "every file handed to commcheck parses",
-    ),
-    "P501": (
-        Severity.ERROR,
-        "every point-to-point send tag has a matching recv tag in the "
-        "protocol, and vice versa",
-    ),
-    "P502": (
-        Severity.ERROR,
-        "master and worker execute the same collective sequence, and "
-        "collective implementations are send/recv complementary",
-    ),
-    "P503": (
-        Severity.ERROR,
-        "no reachable p=3 global state leaves every unfinished role "
-        "blocked on an unmatchable recv or collective",
-    ),
-    "P504": (
-        Severity.ERROR,
-        "a strategy whose runner threads no deadline into make_cluster "
-        "or run_cluster has no unguarded recv a killed/wedged/"
-        "disconnected peer could hang forever",
-    ),
-    "P505": (
-        Severity.ERROR,
-        "an ANY_SOURCE recv's matched sender is uniquely determined by "
-        "happens-before order (no message race)",
-    ),
-    "P506": (
-        Severity.ERROR,
-        "recorded traces are admitted by the static protocol skeleton "
-        "(ops, tags, labels, paired sends, aligned collectives)",
-    ),
-}
+
+def finding(rule: str, path: str, line: int, message: str) -> Finding:
+    """A finding of protocol rule ``rule``, at the severity it declares."""
+    (declared,) = rules_by_id([rule])
+    return declared.finding(path, None, message, line=max(line, 1), col=1)
 
 
-def _finding(rule: str, path: str, line: int, message: str) -> Finding:
-    return Finding(
-        rule=rule, severity=DETECTORS[rule][0], path=path,
-        line=max(line, 1), col=1, message=message,
-    )
+class ProtocolRule(ProjectRule):
+    """A static check of every protocol the scanned modules define,
+    extracted once per run (:attr:`ProjectModel.extraction`)."""
+
+    def check_protocol(
+        self, proto: Protocol, fault_kinds: Sequence[str]
+    ) -> list[Finding]:
+        raise NotImplementedError
+
+    def check_project(
+        self, contexts: list[ModuleContext], model: ProjectModel
+    ) -> Iterator[Finding]:
+        ext = model.extraction
+        for proto in ext.protocols:
+            yield from self.check_protocol(proto, ext.fault_kinds())
 
 
 # ---------------------------------------------------------------------------
 # P501 — tag matching
 # ---------------------------------------------------------------------------
 
-def _check_tags(proto: Protocol) -> list[Finding]:
-    events = proto.events()
-    sends = [e for e in events if e.op == "send"]
-    recvs = [e for e in events if e.op == "recv"]
-    if not sends and not recvs:
-        return []
-    send_tags = {e.tag for e in sends}
-    recv_tags = {e.tag for e in recvs}
-    out: list[Finding] = []
-    for e in sends:
-        if e.tag == UNKNOWN or UNKNOWN in recv_tags:
-            continue
-        if e.tag not in recv_tags:
-            out.append(_finding(
-                "P501", e.path, e.line,
-                f"send with tag {e.tag!r} in protocol {proto.name!r} has "
-                f"no matching recv (recv tags: {sorted(map(str, recv_tags))})",
-            ))
-    for e in recvs:
-        if e.tag == UNKNOWN or UNKNOWN in send_tags:
-            continue
-        if e.tag not in send_tags:
-            out.append(_finding(
-                "P501", e.path, e.line,
-                f"recv waiting on tag {e.tag!r} in protocol {proto.name!r} "
-                f"that nothing sends (send tags: "
-                f"{sorted(map(str, send_tags))})",
-            ))
-    return out
+@register
+class TagMatching(ProtocolRule):
+    id = "P501"
+    invariant = (
+        "every point-to-point send tag has a matching recv tag in the "
+        "protocol, and vice versa"
+    )
+
+    def check_protocol(
+        self, proto: Protocol, fault_kinds: Sequence[str]
+    ) -> list[Finding]:
+        events = proto.events()
+        sends = [e for e in events if e.op == "send"]
+        recvs = [e for e in events if e.op == "recv"]
+        if not sends and not recvs:
+            return []
+        send_tags = {e.tag for e in sends}
+        recv_tags = {e.tag for e in recvs}
+        out: list[Finding] = []
+        for e in sends:
+            if e.tag == UNKNOWN or UNKNOWN in recv_tags:
+                continue
+            if e.tag not in recv_tags:
+                out.append(finding(
+                    "P501", e.path, e.line,
+                    f"send with tag {e.tag!r} in protocol {proto.name!r} "
+                    f"has no matching recv (recv tags: "
+                    f"{sorted(map(str, recv_tags))})",
+                ))
+        for e in recvs:
+            if e.tag == UNKNOWN or UNKNOWN in send_tags:
+                continue
+            if e.tag not in send_tags:
+                out.append(finding(
+                    "P501", e.path, e.line,
+                    f"recv waiting on tag {e.tag!r} in protocol "
+                    f"{proto.name!r} that nothing sends (send tags: "
+                    f"{sorted(map(str, send_tags))})",
+                ))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,39 +173,49 @@ class _ConditionalCollective(Exception):
         self.choice = choice
 
 
-def _check_collectives(proto: Protocol) -> list[Finding]:
-    if proto.kind == "collective":
-        return _check_complementarity(proto)
-    roles = proto.roles
-    if "master" not in roles or "worker" not in roles:
-        return []
-    projections: dict[str, tuple[Any, ...]] = {}
-    for name, skel in roles.items():
-        try:
-            projections[name] = _coll_projection(skel.nodes)
-        except _ConditionalCollective as exc:
-            return [_finding(
-                "P502", exc.choice.path, exc.choice.line,
-                f"role {name!r} of protocol {proto.name!r} runs a "
-                "collective on only some branches of a data-dependent "
-                "choice — the other roles block inside the collective",
-            )]
-    if projections["master"] != projections["worker"]:
-        line = 1
-        for skel in roles.values():
-            for ev in proto.events(skel.role):
-                if ev.op in COLL_OPS:
-                    line = ev.line
+@register
+class CollectiveOrder(ProtocolRule):
+    id = "P502"
+    invariant = (
+        "master and worker execute the same collective sequence, and "
+        "collective implementations are send/recv complementary"
+    )
+
+    def check_protocol(
+        self, proto: Protocol, fault_kinds: Sequence[str]
+    ) -> list[Finding]:
+        if proto.kind == "collective":
+            return _check_complementarity(proto)
+        roles = proto.roles
+        if "master" not in roles or "worker" not in roles:
+            return []
+        projections: dict[str, tuple[Any, ...]] = {}
+        for name, skel in roles.items():
+            try:
+                projections[name] = _coll_projection(skel.nodes)
+            except _ConditionalCollective as exc:
+                return [finding(
+                    "P502", exc.choice.path, exc.choice.line,
+                    f"role {name!r} of protocol {proto.name!r} runs a "
+                    "collective on only some branches of a data-dependent "
+                    "choice — the other roles block inside the collective",
+                )]
+        if projections["master"] != projections["worker"]:
+            line = 1
+            for skel in roles.values():
+                for ev in proto.events(skel.role):
+                    if ev.op in COLL_OPS:
+                        line = ev.line
+                        break
+                if line > 1:
                     break
-            if line > 1:
-                break
-        return [_finding(
-            "P502", proto.path, line,
-            f"protocol {proto.name!r}: master and worker collective "
-            f"sequences differ (master: {projections['master']!r}, "
-            f"worker: {projections['worker']!r})",
-        )]
-    return []
+            return [finding(
+                "P502", proto.path, line,
+                f"protocol {proto.name!r}: master and worker collective "
+                f"sequences differ (master: {projections['master']!r}, "
+                f"worker: {projections['worker']!r})",
+            )]
+        return []
 
 
 def _check_complementarity(proto: Protocol) -> list[Finding]:
@@ -227,7 +231,7 @@ def _check_complementarity(proto: Protocol) -> list[Finding]:
         other = by_role["nonroot" if name == "root" else "root"]
         if "send" in ops and "recv" in ops:
             ev = next(e for e in events if e.op == "send")
-            out.append(_finding(
+            out.append(finding(
                 "P502", ev.path, ev.line,
                 f"collective {proto.name!r}: role {name!r} both sends "
                 "and receives — root-sequenced collectives must be "
@@ -235,14 +239,14 @@ def _check_complementarity(proto: Protocol) -> list[Finding]:
             ))
         elif "send" in ops and not any(e.op == "recv" for e in other):
             ev = next(e for e in events if e.op == "send")
-            out.append(_finding(
+            out.append(finding(
                 "P502", ev.path, ev.line,
                 f"collective {proto.name!r}: role {name!r} sends but the "
                 "other role never receives",
             ))
         elif "recv" in ops and not any(e.op == "send" for e in other):
             ev = next(e for e in events if e.op == "recv")
-            out.append(_finding(
+            out.append(finding(
                 "P502", ev.path, ev.line,
                 f"collective {proto.name!r}: role {name!r} receives but "
                 "the other role never sends",
@@ -585,61 +589,63 @@ def _swap(tup: tuple, i: int, value: Any) -> tuple:
     return tup[:i] + (value,) + tup[i + 1:]
 
 
-def _check_deadlocks(proto: Protocol) -> list[Finding]:
-    if proto.kind != "strategy":
-        return []
-    out = []
-    for dl in explore_deadlocks(proto):
-        where = "; ".join(
-            f"{path}:{line} ({op})" for path, line, op in sorted(dl.blocked)
-        )
-        path, line, _ = sorted(dl.blocked)[0]
-        out.append(_finding(
-            "P503", path, line,
-            f"protocol {proto.name!r} can reach a state where every "
-            f"unfinished role blocks forever: {where}",
-        ))
-    return out
+@register
+class NoBlockingCycle(ProtocolRule):
+    id = "P503"
+    invariant = (
+        "no reachable p=3 global state leaves every unfinished role "
+        "blocked on an unmatchable recv or collective"
+    )
+
+    def check_protocol(
+        self, proto: Protocol, fault_kinds: Sequence[str]
+    ) -> list[Finding]:
+        if proto.kind != "strategy":
+            return []
+        out = []
+        for dl in explore_deadlocks(proto):
+            where = "; ".join(
+                f"{path}:{line} ({op})"
+                for path, line, op in sorted(dl.blocked)
+            )
+            path, line, _ = sorted(dl.blocked)[0]
+            out.append(finding(
+                "P503", path, line,
+                f"protocol {proto.name!r} can reach a state where every "
+                f"unfinished role blocks forever: {where}",
+            ))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # P504 — undeadlined recv vs killable peers
 # ---------------------------------------------------------------------------
 
-def _check_deadlines(
-    proto: Protocol, fault_kinds: Sequence[str]
-) -> list[Finding]:
-    if proto.kind != "strategy" or proto.deadline_capable:
-        return []
-    killers = sorted(set(fault_kinds) & set(KILLING_FAULT_KINDS))
-    if not killers:
-        return []
-    out = []
-    for ev in proto.events():
-        if ev.op == "recv" and not ev.guarded:
-            out.append(_finding(
-                "P504", ev.path, ev.line,
-                f"recv in protocol {proto.name!r} has no reachable "
-                "deadline: the runner threads no timeout into "
-                f"make_cluster, and a peer lost to {'/'.join(killers)} "
-                "fault injection would hang this wait forever",
-            ))
-    return out
+@register
+class DeadlinedRecv(ProtocolRule):
+    id = "P504"
+    invariant = (
+        "a strategy whose runner threads no deadline into make_cluster "
+        "or run_cluster has no unguarded recv a killed/wedged/"
+        "disconnected peer could hang forever"
+    )
 
-
-# ---------------------------------------------------------------------------
-# entry point
-# ---------------------------------------------------------------------------
-
-def analyze_protocols(
-    protocols: Iterable[Protocol],
-    fault_kinds: Sequence[str] = KILLING_FAULT_KINDS,
-) -> list[Finding]:
-    """Run every static detector over ``protocols``."""
-    out: list[Finding] = []
-    for proto in protocols:
-        out.extend(_check_tags(proto))
-        out.extend(_check_collectives(proto))
-        out.extend(_check_deadlocks(proto))
-        out.extend(_check_deadlines(proto, fault_kinds))
-    return out
+    def check_protocol(
+        self, proto: Protocol, fault_kinds: Sequence[str]
+    ) -> list[Finding]:
+        if proto.kind != "strategy" or proto.deadline_capable:
+            return []
+        killers = sorted(set(fault_kinds) & set(KILLING_FAULT_KINDS))
+        if not killers:
+            return []
+        out = []
+        for ev in proto.events():
+            if ev.op == "recv" and not ev.guarded:
+                out.append(finding(
+                    "P504", ev.path, ev.line,
+                    f"recv in protocol {proto.name!r} has no reachable "
+                    "deadline: the runner threads no timeout into "
+                    f"make_cluster, and a peer lost to {'/'.join(killers)} "
+                    "fault injection would hang this wait forever",
+                ))
+        return out

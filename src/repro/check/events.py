@@ -1,6 +1,6 @@
 """The protocol event model: per-role communication skeletons.
 
-``repro commcheck`` abstracts each SPMD strategy into one skeleton per
+The protocol rules (P5xx) abstract each SPMD strategy into one skeleton per
 *role* (master = rank 0, worker = every other rank; the collective
 implementations use root/nonroot).  A skeleton is a tree of four node
 kinds:

@@ -1,7 +1,8 @@
 """Static protocol extraction: source ASTs -> per-role skeletons.
 
-The extractor never imports the code it checks (same contract as
-``repro lint``).  It parses every given file, then builds:
+The extractor never imports the code it checks.  It reads the modules
+``repro lint`` already parsed (once per run, for the P501–P504 rules),
+then builds:
 
 * one **strategy protocol** per module defining an ``_spmd`` entry point
   — the SPMD body is projected twice, once per role (``master`` for
@@ -18,8 +19,8 @@ The extractor never imports the code it checks (same contract as
 
 All resolution is shallow and syntactic.  Anything the extractor cannot
 prove collapses to :data:`~repro.check.events.UNKNOWN`, which the
-downstream analyses treat as matching everything — commcheck under-
-reports rather than speculates.
+downstream analyses treat as matching everything — the protocol rules
+under-report rather than speculate.
 """
 
 from __future__ import annotations
@@ -43,9 +44,13 @@ from repro.check.events import (
     Node,
     Protocol,
     RoleSkeleton,
+    iter_events,
 )
+from repro.lint.context import ModuleContext
+from repro.lint.engine import parse_module
+from repro.lint.findings import Finding
 
-__all__ = ["ProtocolExtractor", "extract_protocols", "ExtractError"]
+__all__ = ["ProtocolExtractor", "extract_protocols"]
 
 #: Inlining depth cap — protocol helpers are shallow; a cycle or a deep
 #: chain stops expanding and the call is simply skipped.
@@ -65,18 +70,17 @@ _RECV_KIND = "<recv-kind>"
 _RANK_VAR = "<rank-var>"
 
 
-class ExtractError(Exception):
-    """A file could not be parsed."""
-
-
 @dataclass
 class _Module:
-    """One parsed file plus its shallow symbol tables."""
+    """One parsed module plus the extractor's top-level symbol tables.
+
+    Tree and import aliases come from lint's :class:`ModuleContext`, so
+    a lint run parses each file once for every rule family.
+    """
 
     path: str
     tree: ast.Module
-    source: str
-    imports: dict[str, str] = field(default_factory=dict)
+    imports: dict[str, str]
     int_consts: dict[str, int] = field(default_factory=dict)
     str_consts: dict[str, str] = field(default_factory=dict)
     tuple_consts: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -108,24 +112,10 @@ def _int_literal(node: ast.AST) -> int | None:
     return None
 
 
-def _parse_module(path: str | Path) -> _Module:
-    p = Path(path)
-    try:
-        source = p.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(p))
-    except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-        raise ExtractError(f"{p}: {exc}") from exc
-    mod = _Module(path=str(p), tree=tree, source=source)
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                mod.imports[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                mod.imports[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-        elif isinstance(node, ast.FunctionDef):
+def _module(ctx: ModuleContext) -> _Module:
+    mod = _Module(path=ctx.path, tree=ctx.tree, imports=ctx.imports)
+    for node in ctx.tree.body:
+        if isinstance(node, ast.FunctionDef):
             mod.functions[node.name] = node
         elif isinstance(node, ast.ClassDef):
             mod.classes[node.name] = node
@@ -197,62 +187,38 @@ def _norm(node: ast.AST) -> str:
 
 
 class ProtocolExtractor:
-    """Parses a file set and extracts every protocol it defines."""
+    """Extracts every protocol a set of parsed modules defines."""
 
-    def __init__(self, paths: Sequence[str | Path]):
-        self.modules: list[_Module] = []
-        self.errors: list[tuple[str, str]] = []
+    def __init__(self, contexts: Sequence[ModuleContext]):
+        self.modules = [_module(ctx) for ctx in contexts]
         by_name: dict[str, _Module] = {}
-        for path in paths:
-            try:
-                mod = _parse_module(path)
-            except ExtractError as exc:
-                self.errors.append((str(path), str(exc)))
-                continue
-            self.modules.append(mod)
+        for mod in self.modules:
             by_name[mod.dotted()] = mod
             by_name.setdefault(mod.stem, mod)
         self._by_name = by_name
+        self.protocols = self._protocols()
+        #: LNT002 findings of the files :func:`extract_protocols` could
+        #: not parse (a lint run reports those itself).
+        self.errors: list[Finding] = []
 
     # -- cross-module resolution ------------------------------------------
 
-    def resolve_function(
-        self, mod: _Module, name: str
-    ) -> tuple[_Module, ast.FunctionDef] | None:
-        """A module-level function ``name`` visible in ``mod``."""
-        if name in mod.functions:
-            return mod, mod.functions[name]
+    def resolve(
+        self, mod: _Module, name: str, table: str
+    ) -> tuple[_Module, Any] | None:
+        """``(defining module, entry)`` for ``name`` in one symbol table
+        (``functions``, ``int_consts`` or ``str_consts``) of ``mod`` or
+        of the module ``mod`` imported ``name`` from."""
+        local = getattr(mod, table)
+        if name in local:
+            return mod, local[name]
         dotted = mod.imports.get(name)
         if dotted and "." in dotted:
             modname, attr = dotted.rsplit(".", 1)
             target = self._by_name.get(modname) \
                 or self._by_name.get(modname.rsplit(".", 1)[-1])
-            if target is not None and attr in target.functions:
-                return target, target.functions[attr]
-        return None
-
-    def resolve_int(self, mod: _Module, name: str) -> int | None:
-        if name in mod.int_consts:
-            return mod.int_consts[name]
-        dotted = mod.imports.get(name)
-        if dotted and "." in dotted:
-            modname, attr = dotted.rsplit(".", 1)
-            target = self._by_name.get(modname) \
-                or self._by_name.get(modname.rsplit(".", 1)[-1])
-            if target is not None:
-                return target.int_consts.get(attr)
-        return None
-
-    def resolve_str(self, mod: _Module, name: str) -> str | None:
-        if name in mod.str_consts:
-            return mod.str_consts[name]
-        dotted = mod.imports.get(name)
-        if dotted and "." in dotted:
-            modname, attr = dotted.rsplit(".", 1)
-            target = self._by_name.get(modname) \
-                or self._by_name.get(modname.rsplit(".", 1)[-1])
-            if target is not None:
-                return target.str_consts.get(attr)
+            if target is not None and attr in getattr(target, table):
+                return target, getattr(target, table)[attr]
         return None
 
     # -- manifests ---------------------------------------------------------
@@ -267,7 +233,7 @@ class ProtocolExtractor:
 
     # -- protocol construction --------------------------------------------
 
-    def protocols(self) -> list[Protocol]:
+    def _protocols(self) -> list[Protocol]:
         out: list[Protocol] = []
         for mod in self.modules:
             if "_spmd" in mod.functions:
@@ -520,7 +486,7 @@ class _Walker:
         if isinstance(comp, ast.Constant) and isinstance(comp.value, str):
             return comp.value
         if isinstance(comp, ast.Name):
-            return self.ext.resolve_str(self.mod, comp.id)
+            return self._const(comp.id, "str_consts")
         return None
 
     # -- loops -------------------------------------------------------------
@@ -561,10 +527,10 @@ class _Walker:
         )
         body, term = self.walk(stmt.body)
         if guards:
-            for ev in _events_under(body):
+            for ev in iter_events(body):
                 ev.guarded = True
         # Handler bodies model failure paths; they are collected neither
-        # as protocol events nor as explorer branches (DESIGN §10) — the
+        # as protocol events nor as explorer branches (DESIGN §9) — the
         # deadline analysis (P504) is what bounds those paths.
         tail, tail_term = self.walk(stmt.finalbody) if stmt.finalbody \
             else ([], False)
@@ -603,11 +569,14 @@ class _Walker:
         if isinstance(fn, ast.Attribute) and fn.attr in COMM_OPS \
                 and _comm_receiver(fn.value, in_cls):
             return [self._event(fn.attr, call, targets)]
-        # The transport hook is the comm-class-internal send.
+        # The transport hook is the comm-class-internal send, of a
+        # payload whose label the skeleton does not track.
         if in_cls and isinstance(fn, ast.Attribute) \
                 and fn.attr == "_transmit" \
                 and isinstance(fn.value, ast.Name) and fn.value.id == "self":
-            return [self._transmit_event(call)]
+            ev = self._event("send", call, None)
+            ev.label = UNKNOWN
+            return [ev]
         return self._inline(call, tail)
 
     def _event(
@@ -639,16 +608,6 @@ class _Walker:
             ev.root = 0 if root is None else self._root(root)
             ev.label = None
         return ev
-
-    def _transmit_event(self, call: ast.Call) -> Event:
-        kw = {k.arg: k.value for k in call.keywords if k.arg}
-        dest = call.args[1] if len(call.args) > 1 else kw.get("dest")
-        tag = call.args[2] if len(call.args) > 2 else kw.get("tag")
-        return Event(
-            op="send", path=self.mod.path, line=call.lineno,
-            peer=self._peer(dest), tag=self._tag(tag),
-            label=UNKNOWN,
-        )
 
     def _bind_recv(self, targets: list[ast.expr] | None) -> None:
         if not targets or len(targets) != 1:
@@ -686,6 +645,10 @@ class _Walker:
 
     # -- value resolution --------------------------------------------------
 
+    def _const(self, name: str, table: str) -> Any:
+        hit = self.ext.resolve(self.mod, name, table)
+        return None if hit is None else hit[1]
+
     def _peer(self, node: ast.AST | None) -> int | str:
         if node is None:
             return UNKNOWN
@@ -700,7 +663,7 @@ class _Walker:
                 return RANKS
             if isinstance(marker, int):
                 return marker
-            const = self.ext.resolve_int(self.mod, node.id)
+            const = self._const(node.id, "int_consts")
             if const is not None:
                 return const
         return UNKNOWN
@@ -731,7 +694,7 @@ class _Walker:
             marker = self.env.get(node.id)
             if isinstance(marker, int):
                 return marker
-            const = self.ext.resolve_int(self.mod, node.id)
+            const = self._const(node.id, "int_consts")
             if const is not None:
                 return const
         if isinstance(node, ast.Attribute) \
@@ -751,7 +714,7 @@ class _Walker:
             if isinstance(head, ast.Constant) and isinstance(head.value, str):
                 return head.value
             if isinstance(head, ast.Name):
-                const = self.ext.resolve_str(self.mod, head.id)
+                const = self._const(head.id, "str_consts")
                 if const is not None:
                     return const
             return None
@@ -759,10 +722,9 @@ class _Walker:
             marker = self.env.get(node.id)
             if isinstance(marker, str) and not marker.startswith("<"):
                 return marker
-            if marker is None and self.ext.resolve_str(
-                self.mod, node.id
-            ) is not None:
-                return self.ext.resolve_str(self.mod, node.id)
+            const = self._const(node.id, "str_consts")
+            if marker is None and const is not None:
+                return const
         return UNKNOWN
 
     # -- inlining ----------------------------------------------------------
@@ -778,7 +740,7 @@ class _Walker:
                 target = (self.mod, self.local_funcs[fn.id])
                 drop_first = ""
             else:
-                target = self.ext.resolve_function(self.mod, fn.id)
+                target = self.ext.resolve(self.mod, fn.id, "functions")
         elif isinstance(fn, ast.Attribute) and self.comm_class is not None \
                 and isinstance(fn.value, ast.Name) and fn.value.id == "self":
             method = _class_methods(self.comm_class).get(fn.attr)
@@ -804,7 +766,7 @@ class _Walker:
             # propagate.  Elsewhere they only end the inlinee: a
             # comm-free callee inlines to nothing, and internal returns
             # must not terminate the caller's skeleton.
-            if not _events_under(nodes):
+            if next(iter_events(nodes), None) is None:
                 return []
             nodes = _strip_returns(nodes)
         return nodes
@@ -841,7 +803,7 @@ class _Walker:
             marker = self.env.get(node.id)
             if marker is not None:
                 return marker
-            const = self.ext.resolve_int(self.mod, node.id)
+            const = self._const(node.id, "int_consts")
             if const is not None:
                 return const
         return UNKNOWN
@@ -871,22 +833,19 @@ def _strip_returns(nodes: list[Node]) -> list[Node]:
     return out
 
 
-def _events_under(nodes: list[Node]) -> list[Event]:
-    out: list[Event] = []
-    for node in nodes:
-        if isinstance(node, Event):
-            out.append(node)
-        elif isinstance(node, Loop):
-            out.extend(_events_under(node.body))
-        elif isinstance(node, Choice):
-            for b in node.branches:
-                out.extend(_events_under(b.body))
-    return out
-
-
 def extract_protocols(
     paths: Sequence[str | Path],
 ) -> tuple[list[Protocol], ProtocolExtractor]:
-    """Parse ``paths`` and extract every protocol they define."""
-    ext = ProtocolExtractor(paths)
-    return ext.protocols(), ext
+    """Parse ``paths`` as ``repro lint`` does and extract every protocol
+    they define; files that do not parse land in ``errors`` (LNT002)."""
+    contexts: list[ModuleContext] = []
+    errors: list[Finding] = []
+    for path in paths:
+        ctx, problem = parse_module(Path(path))
+        if problem is not None:
+            errors.append(problem)
+        else:
+            contexts.append(ctx)
+    ext = ProtocolExtractor(contexts)
+    ext.errors = errors
+    return ext.protocols, ext

@@ -29,23 +29,61 @@ nothing rides on the wire, so traced runs stay bit-identical:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
+from repro.check.analysis import finding
 from repro.check.events import ANY, COLL_OPS, UNKNOWN, Protocol
-from repro.check.analysis import DETECTORS
+from repro.lint.context import ModuleContext, ProjectModel
 from repro.lint.findings import Finding
+from repro.lint.rules import ProjectRule, register
 
-__all__ = ["check_traces", "vector_clocks", "pair_p2p"]
+__all__ = [
+    "TraceRule",
+    "NoMessageRace",
+    "TraceAdmitted",
+    "check_traces",
+    "vector_clocks",
+    "pair_p2p",
+]
 
 _TraceEv = dict[str, Any]
 
 
-def _finding(rule: str, ev: _TraceEv, message: str) -> Finding:
-    return Finding(
-        rule=rule, severity=DETECTORS[rule][0],
-        path=str(ev.get("file", "<trace>")),
-        line=int(ev.get("line", 1)) or 1, col=1, message=message,
+class TraceRule(ProjectRule):
+    """A finding kind of the replay of the run's traces
+    (:attr:`ProjectModel.trace_findings`; none without ``--trace``)."""
+
+    def check_project(
+        self, contexts: list[ModuleContext], model: ProjectModel
+    ) -> Iterator[Finding]:
+        return (f for f in model.trace_findings if f.rule == self.id)
+
+
+@register
+class NoMessageRace(TraceRule):
+    id = "P505"
+    invariant = (
+        "an ANY_SOURCE recv's matched sender is uniquely determined by "
+        "happens-before order (no message race)"
     )
+
+
+@register
+class TraceAdmitted(TraceRule):
+    id = "P506"
+    invariant = (
+        "recorded traces are admitted by the static protocol skeleton "
+        "(ops, tags, labels, paired sends, aligned collectives)"
+    )
+
+
+def _finding(rule: str, ev: _TraceEv, message: str) -> Finding:
+    return finding(rule, *_site(ev), message)
+
+
+def _site(ev: _TraceEv) -> tuple[str, int]:
+    """The recorded call site of a trace event."""
+    return str(ev.get("file", "<trace>")), int(ev.get("line", 1)) or 1
 
 
 def pair_p2p(
@@ -146,6 +184,18 @@ def vector_clocks(
         for node in members:
             group_of[node] = gi
 
+    def preds(node: tuple[int, int]) -> list[tuple[int, int]]:
+        r, i = node
+        return ([(r, i - 1)] if i > 0 else []) + indeg.get(node, [])
+
+    def join(nodes: Sequence[tuple[int, int]]) -> list[int]:
+        vec = [0] * n
+        for q in nodes:
+            for x, qx in enumerate(clocks[q]):
+                if qx > vec[x]:
+                    vec[x] = qx
+        return vec
+
     # Kahn-style: per-rank pointers advance when all cross-edges resolve.
     ptr = {r: 0 for r in ranks}
     group_ready: dict[int, set[tuple[int, int]]] = {}
@@ -156,63 +206,36 @@ def vector_clocks(
             while ptr[r] < len(traces[r]):
                 i = ptr[r]
                 node = (r, i)
-                preds = []
-                if i > 0:
-                    preds.append((r, i - 1))
-                preds.extend(indeg.get(node, []))
-                if any(p not in clocks for p in preds):
+                if any(q not in clocks for q in preds(node)):
                     break
                 gi = group_of.get(node)
                 if gi is not None:
                     ready = group_ready.setdefault(gi, set())
                     ready.add(node)
                     members = set(groups[gi])
-                    if ready != members:
-                        # wait at the collective until every member
-                        # arrives with resolved predecessors.
-                        ok = True
-                        for m in members:
-                            mr, mi = m
-                            mpreds = (
-                                [(mr, mi - 1)] if mi > 0 else []
-                            ) + indeg.get(m, [])
-                            if m in clocks:
-                                continue
-                            if any(
-                                q not in clocks for q in mpreds
-                            ) or ptr[mr] != mi:
-                                ok = False
-                                break
-                        if not ok:
-                            break
+                    # Wait at the collective until every member arrives
+                    # with resolved predecessors.
+                    if ready != members and any(
+                        m not in clocks and (
+                            ptr[m[0]] != m[1]
+                            or any(q not in clocks for q in preds(m))
+                        )
+                        for m in members
+                    ):
+                        break
                     # All members ready: join their predecessors.
-                    join = [0] * n
-                    for m in members:
-                        mr, mi = m
-                        mpreds = (
-                            [(mr, mi - 1)] if mi > 0 else []
-                        ) + indeg.get(m, [])
-                        for q in mpreds:
-                            qv = clocks[q]
-                            for x in range(n):
-                                if qv[x] > join[x]:
-                                    join[x] = qv[x]
+                    vec = join([q for m in members for q in preds(m)])
                     for m in sorted(members):
                         mr, mi = m
                         if m in clocks:
                             continue
-                        vec = list(join)
-                        vec[mr] = mi + 1
-                        clocks[m] = tuple(vec)
+                        clock = list(vec)
+                        clock[mr] = mi + 1
+                        clocks[m] = tuple(clock)
                         ptr[mr] = mi + 1
                         progress = True
                     continue
-                vec = [0] * n
-                for q in preds:
-                    qv = clocks[q]
-                    for x in range(n):
-                        if qv[x] > vec[x]:
-                            vec[x] = qv[x]
+                vec = join(preds(node))
                 vec[r] = i + 1
                 clocks[node] = tuple(vec)
                 ptr[r] = i + 1
@@ -258,8 +281,7 @@ def _find_races(
                     continue
                 if _happens_before(rnode, snode, clocks):
                     continue
-                loc = (str(ev.get("file", "<trace>")),
-                       int(ev.get("line", 1)) or 1)
+                loc = _site(ev)
                 racy[loc] = racy.get(loc, 0) + 1
                 if loc not in sample:
                     sample[loc] = (
@@ -271,14 +293,12 @@ def _find_races(
     out = []
     for loc in sorted(racy):
         path, line = loc
-        out.append(Finding(
-            rule="P505", severity=DETECTORS["P505"][0], path=path,
-            line=line, col=1, message=(
-                f"ANY_SOURCE message race ({racy[loc]} concurrent "
-                f"pair(s)): {sample[loc]}; arrival order, not "
-                "happens-before, decided the match — bit-identity "
-                "depends on delivery order here"
-            ),
+        out.append(finding(
+            "P505", path, line,
+            f"ANY_SOURCE message race ({racy[loc]} concurrent "
+            f"pair(s)): {sample[loc]}; arrival order, not "
+            "happens-before, decided the match — bit-identity "
+            "depends on delivery order here",
         ))
     return out
 

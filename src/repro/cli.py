@@ -27,14 +27,12 @@ Subcommands
     ``BENCH_PR3.json``.
 ``repro lint``
     Project-specific AST invariant linter (determinism, comm-protocol,
-    cache-identity, typed-island rules); exit 1 on any unsuppressed
-    finding — the CI ``lint`` job gate.  Also ``python -m repro.lint``.
-``repro commcheck``
-    Comm-protocol model checker (P501-P504: tag matching, collective
-    alignment, bounded deadlock exploration, deadline coverage) and,
-    with ``--trace``, the vector-clock message-race sanitizer
-    (P505/P506) over traced sim-backend smoke runs — the CI
-    ``commcheck`` job gate.  Also ``python -m repro.check``.
+    cache-identity, typed-island rules) and comm-protocol model checker
+    (P501-P504: tag matching, collective alignment, bounded deadlock
+    exploration, deadline coverage); ``--trace`` adds the vector-clock
+    message-race sanitizer (P505/P506) over traced sim-backend smoke
+    runs.  Exit 1 on any unsuppressed finding — the CI ``lint`` job
+    gate.  Also ``python -m repro.lint``.
 
 Every stochastic component seeds from the spec, so any command line is
 reproducible bit-for-bit; ``--smoke`` shrinks budgets for CI.  Any
@@ -301,19 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
 
     p_lint = sub.add_parser(
-        "lint", help="AST invariant linter (determinism/comm/cache rules)")
+        "lint",
+        help="AST invariant linter and comm-protocol checker")
     from repro.lint.cli import add_lint_arguments
 
     add_lint_arguments(p_lint)
     p_lint.set_defaults(func=cmd_lint)
-
-    p_check = sub.add_parser(
-        "commcheck",
-        help="comm-protocol model checker + message-race sanitizer")
-    from repro.check.cli import add_commcheck_arguments
-
-    add_commcheck_arguments(p_check)
-    p_check.set_defaults(func=cmd_commcheck)
 
     return parser
 
@@ -322,12 +313,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint.cli import cmd_lint as _cmd_lint
 
     return _cmd_lint(args)
-
-
-def cmd_commcheck(args: argparse.Namespace) -> int:
-    from repro.check.cli import cmd_commcheck as _cmd_commcheck
-
-    return _cmd_commcheck(args)
 
 
 def _progress(done: int, total: int, record: RunRecord) -> None:

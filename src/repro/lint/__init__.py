@@ -8,7 +8,12 @@ enforceable by a generic linter:
 * **comm-protocol** (C-rules) — every inter-rank byte flows through the
   counted, framed comm layer and every blocking wait is bounded;
 * **cache-identity** (K-rules) — everything that determines a result
-  reaches the ``stable_hash`` cache key and the cell id.
+  reaches the ``stable_hash`` cache key and the cell id;
+* **whole protocols** (P-rules) — the strategies' conversations match,
+  align, cannot deadlock and are bounded by a deadline (P501–P504, over
+  skeletons :mod:`repro.check` extracts); with ``--trace`` or
+  ``--trace-dir``, replayed traces show no message race and fit the
+  skeletons (P505/P506).
 
 Plus the typed-island rule (T401) backing the CI ``mypy --strict`` job.
 Run as ``repro lint [paths…]`` or ``python -m repro.lint``; suppress a

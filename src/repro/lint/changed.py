@@ -1,10 +1,11 @@
 """``--changed-only`` support: which files differ from HEAD?
 
-Used by ``repro lint`` (lint only touched files — the pre-commit hook
-configuration in the README) and ``repro commcheck`` (skip the run
-entirely when no protocol-bearing file changed).  Purely advisory: when
-git is unavailable or the tree is not a repository, callers fall back to
-a full run.
+Used by ``repro lint`` (the pre-commit hook in the README) to skip the
+run entirely when no file under the given paths changed.  Any change
+triggers a full run: the project rules (K3xx, P50x) cross-reference
+files, so a per-file run would miss what the change broke elsewhere.
+Purely advisory: when git is unavailable or the tree is not a
+repository, callers fall back to a full run.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Sequence
 
 from repro.lint.changed import changed_paths
@@ -47,8 +48,24 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--changed-only", action="store_true",
         help=(
-            "lint only files changed vs HEAD (pre-commit hook mode); "
-            "falls back to a full run when git cannot answer"
+            "skip the run when no file under the paths changed vs HEAD, "
+            "else lint them all: project rules span files (pre-commit "
+            "hook mode; a full run when git cannot answer)"
+        ),
+    )
+    parser.add_argument(
+        "--trace", action="store_true",
+        help=(
+            "feed P505/P506 traced sim-backend smoke runs of every "
+            "strategy, replayed through the vector-clock checker"
+        ),
+    )
+    parser.add_argument(
+        "--trace-dir", default=None, metavar="DIR",
+        help=(
+            "replay the rank-N.jsonl traces recorded in DIR instead "
+            "(implies --trace; no skeleton admission: the protocol is "
+            "unknown)"
         ),
     )
 
@@ -63,18 +80,21 @@ def cmd_lint(args: argparse.Namespace) -> int:
     select = None
     if args.select:
         select = [s.strip() for s in args.select.split(",") if s.strip()]
-    paths: list = list(args.paths)
-    if getattr(args, "changed_only", False):
+    if args.trace_dir and not any(Path(args.trace_dir).glob("rank-*.jsonl")):
+        print(f"error: no rank-N.jsonl traces in {args.trace_dir}")
+        return 2
+    if args.changed_only:
         changed = changed_paths()
-        if changed is not None:
-            paths = [
-                f for f in discover_files(paths) if f.resolve() in changed
-            ]
-            if not paths:
-                print("lint: no changed Python files under the given paths")
-                return 0
+        if changed is not None and not any(
+            f.resolve() in changed for f in discover_files(args.paths)
+        ):
+            print("lint: no changed Python files under the given paths")
+            return 0
     try:
-        report = lint_paths(paths, select=select, no_scope=args.no_scope)
+        report = lint_paths(
+            args.paths, select=select, no_scope=args.no_scope,
+            trace=args.trace, trace_dir=args.trace_dir,
+        )
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return 2
@@ -90,7 +110,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro lint",
         description=(
             "AST-based invariant linter: determinism (D), comm-protocol "
-            "(C), cache-identity (K) and typed-island (T) rules"
+            "(C), cache-identity (K), typed-island (T) and whole-protocol "
+            "(P) rules"
         ),
     )
     add_lint_arguments(parser)

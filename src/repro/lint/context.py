@@ -8,7 +8,8 @@ The engine parses every file once and runs two passes:
 2. a **project pass** folding every module's context into one
    :class:`ProjectModel` — the cross-file view the cache-identity rules
    cross-reference (``ExperimentSpec`` fields in one file against
-   ``cell_key`` in another).
+   ``cell_key`` in another), and from which the protocol rules extract
+   the comm protocols once, on first use.
 
 All inference here is deliberately shallow and syntactic: a lint pass
 must never import the code it checks.
@@ -18,6 +19,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.check.extract import ProtocolExtractor
+    from repro.lint.findings import Finding
 
 __all__ = [
     "DataclassInfo",
@@ -73,14 +80,6 @@ class ModuleContext:
     str_constants: dict[str, tuple[tuple[str, ...], int]] = field(
         default_factory=dict
     )
-
-    def resolves_to(self, node: ast.AST, dotted: str) -> bool:
-        """True when ``node`` is a reference to the dotted name ``dotted``.
-
-        Handles both ``import x.y`` + ``x.y.z`` attributes and
-        ``from x.y import z`` + bare ``z`` names, through aliases.
-        """
-        return self.dotted_name(node) == dotted
 
     def dotted_name(self, node: ast.AST) -> str | None:
         """The import-resolved dotted name of a Name/Attribute chain."""
@@ -262,7 +261,7 @@ def build_module_context(path: str, source: str, tree: ast.Module) -> ModuleCont
 
 @dataclass
 class ProjectModel:
-    """Cross-file view consumed by the cache-identity (K) rules."""
+    """Cross-file view consumed by the project (K and P) rules."""
 
     #: Dataclasses by class name (first definition wins; the real project
     #: defines each of the identity classes exactly once).
@@ -274,13 +273,42 @@ class ProjectModel:
     #: Functions by bare name (e.g. every ``override_*``; ``cell_key``).
     functions: dict[str, list[FunctionInfo]] = field(default_factory=dict)
 
+    #: Every parsed module of the run (the protocol extractor's input).
+    contexts: list[ModuleContext] = field(default_factory=list)
+    #: The traces P505/P506 replay: traced sim smoke runs (``trace``) or
+    #: a directory of recorded ones (``trace_dir``); neither means none.
+    trace: bool = False
+    trace_dir: str | None = None
+
     def manifest(self, name: str) -> tuple[str, ...] | None:
         entry = self.manifests.get(name)
         return entry[0] if entry else None
 
+    @cached_property
+    def extraction(self) -> ProtocolExtractor:
+        """Every comm protocol the run's modules define (P501–P504)."""
+        from repro.check.extract import ProtocolExtractor
 
-def build_project_model(contexts: list[ModuleContext]) -> ProjectModel:
-    model = ProjectModel()
+        return ProtocolExtractor(self.contexts)
+
+    @cached_property
+    def trace_findings(self) -> list[Finding]:
+        """The vector-clock replay's P505/P506 findings."""
+        if not (self.trace or self.trace_dir):
+            return []
+        from repro.check import driver
+
+        if self.trace_dir:
+            return driver.replay_dir(self.trace_dir)
+        return driver.replay_smoke_runs(self.extraction.protocols)
+
+
+def build_project_model(
+    contexts: list[ModuleContext],
+    trace: bool = False,
+    trace_dir: str | None = None,
+) -> ProjectModel:
+    model = ProjectModel(contexts=contexts, trace=trace, trace_dir=trace_dir)
     for ctx in contexts:
         for dc in ctx.dataclasses:
             model.dataclasses.setdefault(dc.name, dc)

@@ -4,14 +4,17 @@ One run is::
 
     files     = discover(paths)              # *.py, fixtures excluded
     contexts  = [parse + module pass]        # imports, symbols, dataclasses
-    model     = project pass(contexts)       # cross-file identity view
+    model     = project pass(contexts)       # cross-file identity view,
+                                             # protocols extracted on demand
     findings  = module rules × in-scope files
               + project rules × (contexts, model)
     report    = suppressions applied, sorted
 
 Suppressions (:mod:`repro.lint.noqa`) match ``(rule, line)`` on the
 finding's own line; a malformed suppression is an LNT001 finding and
-suppresses nothing.
+suppresses nothing.  Trace findings (P505/P506) point at call sites,
+which may lie outside the scanned set; their suppressions are read from
+the Python file the finding names.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from repro.lint.context import (
 )
 from repro.lint.findings import Finding, LintReport, Severity
 from repro.lint.noqa import scan_suppressions
-from repro.lint.rules import ModuleRule, ProjectRule, Rule, rules_by_id
+from repro.lint.rules import ModuleRule, ProjectRule, rules_by_id
 from repro.lint.scoping import DEFAULT_EXCLUDES
 
 __all__ = [
     "apply_suppressions",
     "discover_files",
     "lint_paths",
+    "parse_module",
     "LintReport",
 ]
 
@@ -69,7 +73,8 @@ def discover_files(
     return out
 
 
-def _parse(path: Path) -> tuple[ModuleContext | None, Finding | None]:
+def parse_module(path: Path) -> tuple[ModuleContext | None, Finding | None]:
+    """Read and parse one file: its context, or an LNT002 finding."""
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -93,12 +98,18 @@ def lint_paths(
     select: Sequence[str] | None = None,
     no_scope: bool = False,
     excludes: Sequence[str] = DEFAULT_EXCLUDES,
+    trace: bool = False,
+    trace_dir: str | None = None,
 ) -> LintReport:
     """Lint ``paths`` and return the full report.
 
     ``select`` restricts to the given rule ids; ``no_scope`` disables
     per-directory scoping (used by the fixture tests, where a violating
     file lives outside the directory its rule normally binds).
+    ``trace`` feeds the P505/P506 rules traced sim smoke runs of every
+    strategy; ``trace_dir`` feeds them the ``rank-N.jsonl`` traces
+    recorded there instead (no skeleton admission: the protocol is
+    unknown).
     """
     rules = rules_by_id(select)
     report = LintReport(rules_run=tuple(r.id for r in rules))
@@ -108,7 +119,7 @@ def lint_paths(
     contexts: list[ModuleContext] = []
     suppressions: dict[str, dict[int, object]] = {}
     for path in files:
-        ctx, problem = _parse(path)
+        ctx, problem = parse_module(path)
         if problem is not None:
             report.findings.append(problem)
             continue
@@ -127,12 +138,44 @@ def lint_paths(
                     raw.extend(rule.check(ctx))
         elif isinstance(rule, ProjectRule):
             if model is None:
-                model = build_project_model(contexts)
+                model = build_project_model(
+                    contexts, trace=trace, trace_dir=trace_dir
+                )
             raw.extend(rule.check_project(contexts, model))
 
+    report.extend(_scan_finding_files(raw, suppressions))
     report.findings.extend(apply_suppressions(raw, suppressions))
     report.sort()
     return report
+
+
+def _scan_finding_files(
+    findings: list[Finding],
+    suppressions: dict[str, dict[int, object]],
+) -> list[Finding]:
+    """Add the suppressions of Python files findings name by a path the
+    scan did not use; returns those files' LNT001 problems."""
+    unknown = {f.path for f in findings} - suppressions.keys()
+    if not unknown:
+        return []
+    scanned = {Path(p).resolve(): per_line
+               for p, per_line in suppressions.items()}
+    problems: list[Finding] = []
+    for fpath in sorted(unknown):
+        p = Path(fpath)
+        if p.resolve() in scanned:
+            suppressions[fpath] = scanned[p.resolve()]
+            continue
+        if p.suffix != ".py" or not p.is_file():
+            continue
+        try:
+            source = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            continue
+        per_line, noqa_problems = scan_suppressions(source, fpath)
+        suppressions[fpath] = per_line  # type: ignore[assignment]
+        problems.extend(noqa_problems)
+    return problems
 
 
 def apply_suppressions(
@@ -142,8 +185,7 @@ def apply_suppressions(
     """Mark findings suppressed where a matching ``# repro: noqa`` sits.
 
     ``suppressions`` maps path → line → :class:`repro.lint.noqa.Suppression`
-    (as produced by :func:`repro.lint.noqa.scan_suppressions`); shared by
-    the lint engine and ``repro commcheck``.
+    (as produced by :func:`repro.lint.noqa.scan_suppressions`).
     """
     out: list[Finding] = []
     for f in findings:
@@ -157,8 +199,3 @@ def apply_suppressions(
             )
         out.append(f)
     return out
-
-
-def check_rule(rule: Rule, path: str | Path) -> list[Finding]:
-    """Run one rule against one file, scoping disabled (test helper)."""
-    return lint_paths([path], select=[rule.id], no_scope=True).active

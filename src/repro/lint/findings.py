@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 __all__ = [
     "Severity",
@@ -134,13 +134,3 @@ class LintReport:
             ) + "]"
         lines.append(summary)
         return "\n".join(lines)
-
-
-def merge_reports(reports: Sequence[LintReport]) -> LintReport:
-    """Fold per-stage reports into one (files counted once by caller)."""
-    out = LintReport()
-    for r in reports:
-        out.extend(r.findings)
-        out.files_scanned = max(out.files_scanned, r.files_scanned)
-    out.sort()
-    return out

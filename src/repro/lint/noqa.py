@@ -77,9 +77,6 @@ class Suppression:
     rules: tuple[str, ...]
     justification: str
 
-    def covers(self, rule: str, line: int) -> bool:
-        return line == self.line and rule in self.rules
-
 
 def scan_suppressions(
     source: str, path: str
@@ -99,44 +96,37 @@ def scan_suppressions(
     for lineno, col, text in _comment_tokens(source):
         if not _NOQA_LOOSE_RE.match(text):
             continue
-        m = _NOQA_RE.match(text.rstrip())
-        if not m:
+        parsed = _parse_suppression(text, lineno)
+        if isinstance(parsed, Suppression):
+            by_line[lineno] = parsed
+        else:
             problems.append(Finding(
                 rule=LNT001, severity=Severity.ERROR, path=path,
-                line=lineno, col=col,
-                message=(
-                    "malformed suppression: expected "
-                    "'# repro: noqa[RULE-ID] -- justification'"
-                ),
+                line=lineno, col=col, message=parsed,
             ))
-            continue
-        ids = tuple(s.strip() for s in m.group("ids").split(",") if s.strip())
-        why = (m.group("why") or "").strip()
-        if not ids:
-            problems.append(Finding(
-                rule=LNT001, severity=Severity.ERROR, path=path,
-                line=lineno, col=col,
-                message="suppression lists no rule ids",
-            ))
-            continue
-        bad = [i for i in ids if not _RULE_ID_RE.match(i)]
-        if bad:
-            problems.append(Finding(
-                rule=LNT001, severity=Severity.ERROR, path=path,
-                line=lineno, col=col,
-                message=f"bad rule id(s) in suppression: {', '.join(bad)}",
-            ))
-            continue
-        if len(why) < MIN_JUSTIFICATION:
-            problems.append(Finding(
-                rule=LNT001, severity=Severity.ERROR, path=path,
-                line=lineno, col=col,
-                message=(
-                    f"suppression of {','.join(ids)} needs a written "
-                    "justification ('-- why this violation is safe', "
-                    f">= {MIN_JUSTIFICATION} chars)"
-                ),
-            ))
-            continue
-        by_line[lineno] = Suppression(lineno, ids, why)
     return by_line, problems
+
+
+def _parse_suppression(text: str, lineno: int) -> Suppression | str:
+    """The suppression a ``# repro: noqa`` comment spells, or what is
+    wrong with it."""
+    m = _NOQA_RE.match(text.rstrip())
+    if not m:
+        return (
+            "malformed suppression: expected "
+            "'# repro: noqa[RULE-ID] -- justification'"
+        )
+    ids = tuple(s.strip() for s in m.group("ids").split(",") if s.strip())
+    why = (m.group("why") or "").strip()
+    if not ids:
+        return "suppression lists no rule ids"
+    bad = [i for i in ids if not _RULE_ID_RE.match(i)]
+    if bad:
+        return f"bad rule id(s) in suppression: {', '.join(bad)}"
+    if len(why) < MIN_JUSTIFICATION:
+        return (
+            f"suppression of {','.join(ids)} needs a written "
+            "justification ('-- why this violation is safe', "
+            f">= {MIN_JUSTIFICATION} chars)"
+        )
+    return Suppression(lineno, ids, why)

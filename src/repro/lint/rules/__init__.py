@@ -5,10 +5,13 @@ one-line ``invariant`` (what the rule protects — rendered by
 ``repro lint --list-rules`` and DESIGN §9) and a :class:`RuleScope`.
 Module rules implement ``check(ctx)`` over one file; project rules
 implement ``check_project(contexts, model)`` over the whole scanned set
-(the cross-referencing cache-identity rules).
+(the cross-referencing cache-identity rules and the whole-protocol
+rules).
 
-Importing this package registers the built-in battery (determinism,
-comm-protocol, cache-identity, typed-island families).
+The built-in battery registers on first lookup: the determinism,
+comm-protocol, cache-identity and typed-island families from this
+package, and the whole-protocol family (P5xx) from the analyses that
+implement it, :mod:`repro.check.analysis` and :mod:`repro.check.replay`.
 """
 
 from __future__ import annotations
@@ -102,4 +105,5 @@ def rules_by_id(ids: Iterable[str] | None = None) -> list[Rule]:
 
 def _load_builtin() -> None:
     # Deferred so the registry import cannot cycle with rule modules.
+    from repro.check import analysis, replay  # noqa: F401
     from repro.lint.rules import cache, comm, determinism, typed  # noqa: F401

@@ -214,8 +214,8 @@ class UntaggedWildcardRecv(ModuleRule):
     (a retried send, a collective chunk, a done marker from a previous
     phase) is silently consumed as whatever the caller expected.  The
     certified funnels (Type III's store loop) pin a tag so the wildcard
-    ranges only over senders, never over message kinds — ``repro
-    commcheck``'s P505 then reasons about exactly that sender race.
+    ranges only over senders, never over message kinds — the protocol
+    rule P505 then reasons about exactly that sender race.
     """
 
     id = "C205"

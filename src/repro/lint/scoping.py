@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from pathlib import Path, PurePosixPath
 
-__all__ = ["RuleScope", "DEFAULT_EXCLUDES", "in_scope"]
+__all__ = ["RuleScope", "DEFAULT_EXCLUDES"]
 
 #: Paths never linted by default: deliberately-violating golden fixtures
-#: (both the lint battery's and commcheck's protocol fixtures).
+#: (the single-rule fixtures and the protocol fixtures).
 DEFAULT_EXCLUDES = ("tests/lint/fixtures/", "tests/check/fixtures/")
 
 
@@ -68,7 +68,3 @@ TYPED_ISLANDS = (
     "repro/utils/",
     "repro/parallel/mpi/message.py",
 )
-
-
-def in_scope(path: str | Path, scope: RuleScope) -> bool:
-    return scope.matches(path)

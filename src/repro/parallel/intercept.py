@@ -1,7 +1,7 @@
 """One interceptor chain on a communicator's six public comm ops.
 
 Fault injection (:mod:`repro.parallel.faults`) and comm-event tracing
-(:mod:`repro.parallel.trace`) are hooks of this one chain; DESIGN.md §10
+(:mod:`repro.parallel.trace`) are hooks of this one chain; DESIGN.md §9
 gives the hook order.  Clusters arm it with :func:`chained`, once per
 run; with no fault plan and no trace directory it returns the rank
 function itself and no op is wrapped.

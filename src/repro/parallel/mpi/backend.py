@@ -122,7 +122,7 @@ def make_cluster(
     on every rank (both backends) and writes one canonical
     event-trace file per rank into the directory; recording is purely
     local (no payload, ordering or RNG effect), so traced runs are
-    bit-identical to untraced ones.  ``repro commcheck --trace`` replays
+    bit-identical to untraced ones.  ``repro lint --trace-dir`` replays
     these traces against the static protocol skeletons.
     """
     validate_cluster(kind)

@@ -1,4 +1,4 @@
-"""Canonical comm-event traces: the dynamic half of ``repro commcheck``.
+"""Canonical comm-event traces: the input of the P505/P506 replay rules.
 
 :class:`CommTraceRecorder` is the last hook of the comm interceptor
 chain (:mod:`repro.parallel.intercept`), which calls it once per *public*
@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.parallel import intercept
 
-__all__ = ["CommTraceRecorder", "load_trace"]
+__all__ = ["CommTraceRecorder", "TraceError", "load_trace"]
 
 
 def _call_site() -> tuple[str, int]:
@@ -103,16 +103,33 @@ class CommTraceRecorder(intercept.Hook):
                 fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
+class TraceError(ValueError):
+    """A trace line that is not one JSON record (a torn or edited file)."""
+
+    def __init__(self, path: Path, line: int, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
+        self.path = str(path)
+        self.line = line
+        self.reason = reason
+
+
 def load_trace(trace_dir: str | Path) -> dict[int, list[dict[str, Any]]]:
-    """Read every ``rank-N.jsonl`` under ``trace_dir``; rank -> events."""
+    """Read every ``rank-N.jsonl`` under ``trace_dir``; rank -> events.
+
+    Raises :class:`TraceError` naming the first line that does not parse.
+    """
     out: dict[int, list[dict[str, Any]]] = {}
     for path in sorted(Path(trace_dir).glob("rank-*.jsonl")):
         rank = int(path.stem.split("-", 1)[1])
         events = []
         with path.open(encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     events.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise TraceError(path, lineno, exc.msg) from exc
         out[rank] = events
     return out

@@ -64,7 +64,7 @@ _DONE = "done"
 #: The single tag of the store<->searcher channel.  The value is the
 #: protocol default (so the wire behavior is unchanged), but every call
 #: names it explicitly: the store's ANY_SOURCE funnel is then a
-#: single-tag channel the protocol checker (`repro commcheck`) can
+#: single-tag channel the protocol rules of `repro lint` can
 #: certify, and lint rule C205 holds by construction.
 _TAG_STORE = 0
 

@@ -1,4 +1,4 @@
-"""Shared fixtures for the commcheck suite: a tiny fast circuit."""
+"""Shared fixtures for the protocol-checker suite: a tiny fast circuit."""
 
 from __future__ import annotations
 

@@ -6,19 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.analysis import DETECTORS, analyze_protocols, \
-    explore_deadlocks
+from repro.check.analysis import ProtocolRule, explore_deadlocks
 from repro.check.extract import extract_protocols
+from repro.lint.engine import lint_paths
+from repro.lint.rules import all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro" / "parallel"
 
+STATIC_RULES = [r.id for r in all_rules() if isinstance(r, ProtocolRule)]
+
+
+def analyze(paths):
+    """Every static protocol rule's findings (and any LNT00x) on paths."""
+    return lint_paths(paths, select=STATIC_RULES).findings
+
 
 def run_fixture(name: str):
-    protos, ext = extract_protocols([FIXTURES / name])
-    assert not ext.errors
-    return analyze_protocols(protos, ext.fault_kinds())
+    return analyze([FIXTURES / name])
 
 
 STATIC_PAIRS = [
@@ -51,8 +57,7 @@ def test_clean_fixture_is_clean_of_everything(rule, bad, ok):
 
 def test_every_static_detector_has_a_fixture_pair():
     covered = {rule for rule, _, _ in STATIC_PAIRS}
-    static = {r for r in DETECTORS if r in ("P501", "P502", "P503", "P504")}
-    assert covered == static
+    assert covered == set(STATIC_RULES) == {"P501", "P502", "P503", "P504"}
 
 
 def test_shipped_strategies_are_clean():
@@ -63,7 +68,7 @@ def test_shipped_strategies_are_clean():
     ]
     protos, ext = extract_protocols(paths)
     assert not ext.errors
-    findings = analyze_protocols(protos, ext.fault_kinds())
+    findings = analyze(paths)
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
@@ -96,4 +101,5 @@ def test_collective_complementarity_on_commbase():
     colls = [p for p in protos if p.kind == "collective"]
     assert {p.name.rsplit(".", 1)[1] for p in colls} == \
         {"bcast", "scatter", "gather"}
-    assert analyze_protocols(colls, ext.fault_kinds()) == []
+    assert colls == protos  # so the rules below check exactly these
+    assert analyze([SRC / "mpi" / "commbase.py"]) == []

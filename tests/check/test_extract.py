@@ -143,7 +143,8 @@ def test_syntax_error_is_reported_not_raised(tmp_path):
     protos, ext = extract_protocols([bad])
     assert protos == []
     assert len(ext.errors) == 1
-    assert str(bad) in ext.errors[0][0]
+    assert ext.errors[0].rule == "LNT002"
+    assert str(bad) in ext.errors[0].path
 
 
 def test_unresolvable_values_degrade_to_unknown(tmp_path):
