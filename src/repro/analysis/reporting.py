@@ -379,13 +379,10 @@ def render_shootout_records(records: Sequence["RunRecord"], title: str | None = 
         for r in sorted(others, key=lambda r: (r.strategy,
                                                str(r.params.get("pattern", "")))):
             o = r.outcome or {}
-            label = r.strategy
-            if r.params.get("pattern"):
-                label += f"/{r.params['pattern']}"
             b = quality_bracket(r.parallel_outcome(), serial_mu)
             rows.append({
                 **_label(g, multi_seed),
-                "strategy": label,
+                "strategy": _strategy_label(r),
                 "µ(s)": f"{o.get('best_mu', 0.0):.3f}",
                 "t": b.cell(decimals=2),
                 "vs serial": (

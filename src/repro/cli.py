@@ -22,9 +22,11 @@ Subcommands
     Compare two sweep artifacts cell by cell (modulo wall-clock); exit 1
     on any difference — the merge gate for sharded runs.
 ``repro bench``
-    Wall-clock benchmark of the smoke suite (perf trajectory), with a
-    ``--check`` determinism gate against a committed baseline such as
-    ``BENCH_PR3.json``.
+    Determinism gate: run the smoke suite three times, require every
+    pass to agree, and with ``--check`` require model-seconds and µ(s)
+    to match a committed baseline such as ``BENCH_PR3.json`` exactly.
+    Wall-clock is measured by ``perfbench/`` and the records'
+    ``wall_seconds``, not here.
 ``repro lint``
     Project-specific AST invariant linter (determinism, comm-protocol,
     cache-identity, typed-island rules) and comm-protocol model checker
@@ -46,7 +48,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.reporting import render_records, render_table
 from repro.experiments.artifacts import (
@@ -70,7 +72,6 @@ from repro.experiments.registry import (
     resolve,
 )
 from repro.parallel.partition import ROW_PATTERNS
-from repro.sime.config import EVAL_MODES
 from repro.experiments.sweeps import (
     BACKENDS,
     parse_shard,
@@ -95,14 +96,25 @@ def _csv_ints(text: str) -> list[int]:
     return [int(t) for t in _csv_list(text)]
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= minimum`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 #: Flag, metavar and help of each registry knob (``dest`` is its name).
@@ -208,18 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="custom grid: Type II patterns")
     p_sweep.add_argument("--seeds", type=_csv_ints, default=None,
                          help="replicate seeds (default: scenario's)")
-    p_sweep.add_argument("--scale", type=int, default=100,
+    p_sweep.add_argument("--scale", type=_positive_int, default=100,
                          help="divide paper iteration budgets by this")
     p_sweep.add_argument("--smoke", action="store_true",
                          help="tiny budgets/circuits (CI); default scenario: smoke")
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=_positive_int, default=None,
                          help="process-pool size (implies --backend process)")
     p_sweep.add_argument("--processes", action="store_true",
                          help="fan cells out over a process pool")
     p_sweep.add_argument("--backend", default=None, choices=sorted(BACKENDS),
                          help="execution backend (default: serial, or "
                               "process when --processes/--workers given)")
-    p_sweep.add_argument("--chunk-size", type=int, default=None,
+    p_sweep.add_argument("--chunk-size", type=_positive_int, default=None,
                          help="cells per pool task for --backend chunked")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
                          help="run only deterministic shard I of N "
@@ -246,10 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="any registered scenario name instead of "
                                "a table number (see `repro list`)")
     p_tables.add_argument("--circuits", type=_csv_list, default=None)
-    p_tables.add_argument("--scale", type=int, default=100)
+    p_tables.add_argument("--scale", type=_positive_int, default=100)
     p_tables.add_argument("--smoke", action="store_true",
                           help="one cheap circuit, minimal iterations")
-    p_tables.add_argument("--workers", type=int, default=None)
+    p_tables.add_argument("--workers", type=_positive_int, default=None)
     p_tables.add_argument("--processes", action="store_true")
     p_tables.add_argument("--out", default="artifacts")
     p_tables.set_defaults(func=cmd_tables)
@@ -261,41 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=cmd_diff)
 
     p_bench = sub.add_parser(
-        "bench", help="wall-clock benchmark + determinism gate")
+        "bench", help="determinism gate over the smoke suite")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="accepted for symmetry; the bench suite is "
-                              "always smoke-sized")
+                         help="accepted and ignored; the suite is always "
+                              "smoke-sized")
     p_bench.add_argument("--scenarios", type=_csv_list, default=None,
-                         help="scenario names to bench at smoke size "
+                         help="scenario names to run at smoke size "
                               "(default: smoke,table2)")
-    p_bench.add_argument("--full", action="store_true",
-                         help="bench at full (non-smoke) scenario size; "
-                              "combine with --scale/--circuits to bound it")
-    p_bench.add_argument("--scale", type=int, default=100,
-                         help="iteration-budget divisor for --full benches")
-    p_bench.add_argument("--circuits", type=_csv_list, default=None,
-                         help="restrict benched scenarios to these circuits")
-    p_bench.add_argument("--eval-modes", type=_csv_list, default=None,
-                         metavar="MODES",
-                         help="comma-separated evaluation paths to bench "
-                              "per cell (e.g. scalar,batch); the report "
-                              "derives per-cell speedups vs scalar")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed runs per cell (min is reported)")
-    p_bench.add_argument("--no-warmup", action="store_true",
-                         help="skip the untimed warm-up run per cell")
     p_bench.add_argument("--out", default=None,
                          help="write the JSON report to this path")
     p_bench.add_argument("--check", default=None, metavar="BASELINE",
                          help="fail unless model-seconds and µ(s) exactly "
-                              "match this baseline report (determinism "
-                              "gate; wall-clock is never compared)")
-    p_bench.add_argument("--reference", default=None, metavar="PREV",
-                         help="embed this prior report as the new report's "
-                              "reference block (perf trajectory: previous "
-                              "numbers + derived speedups)")
-    p_bench.add_argument("--reference-note", default="previous baseline",
-                         help="provenance note stored with --reference")
+                              "match this baseline report (wall-clock is "
+                              "never compared)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_lint = sub.add_parser(
@@ -667,38 +657,36 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.bench import (
         DEFAULT_SCENARIOS,
+        bench_cells,
         check_against,
-        embed_reference,
         load_report,
         render_bench,
         run_bench,
         save_report,
     )
 
-    scenarios = args.scenarios or list(DEFAULT_SCENARIOS)
-    eval_modes = tuple(args.eval_modes) if args.eval_modes else ("scalar",)
-    for mode in eval_modes:
-        if mode not in EVAL_MODES:
-            print(f"error: unknown eval mode {mode!r} "
-                  f"(choose from {', '.join(EVAL_MODES)})", file=sys.stderr)
+    # Load the baseline first: a bad one is a usage error (exit 2)
+    # before any cell runs.
+    baseline = None
+    if args.check:
+        try:
+            baseline = load_report(args.check)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read baseline {args.check}: {exc}",
+                  file=sys.stderr)
+            return 2
+        listed = baseline.get("cells") if isinstance(baseline, dict) else None
+        if not isinstance(listed, list) or not all(
+                isinstance(c, dict) and "id" in c for c in listed):
+            print(f"error: {args.check} has no bench cells list "
+                  "(not a bench report?)", file=sys.stderr)
             return 2
     try:
-        report = run_bench(
-            repeats=args.repeats,
-            warmup=not args.no_warmup,
-            scenarios=scenarios,
-            eval_modes=eval_modes,
-            smoke=not args.full,
-            scale=args.scale,
-            circuits=args.circuits,
-        )
+        cells = bench_cells(args.scenarios or DEFAULT_SCENARIOS)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.reference:
-        embed_reference(
-            report, load_report(args.reference), note=args.reference_note
-        )
+    report = run_bench(cells)
     print(render_bench(report))
     if args.out:
         path = save_report(report, args.out)
@@ -710,8 +698,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                   f"{'non-deterministic repeats' if not c['deterministic'] else c['error']}",
                   file=sys.stderr)
         return 1
-    if args.check:
-        problems = check_against(report, load_report(args.check))
+    if baseline is not None:
+        problems = check_against(report, baseline)
         if problems:
             print(f"\ndeterminism gate vs {args.check}: FAILED", file=sys.stderr)
             for p in problems:

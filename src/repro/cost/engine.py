@@ -857,8 +857,8 @@ class CostEngine:
                 c_d += dr[j] * (wc * new_lens[j] + sc[j])
         self.meter.charge("allocation", units)
         # Throughput counter: one unit per candidate scored, zero-cost
-        # under every work model (not a paper category) — bench derives
-        # cells-probed-per-second from it.
+        # under every work model (not a paper category) — it reaches
+        # the records as ``work_units["probe"]``.
         self.meter.charge("probe", 1.0)
 
         o_wl = self._cell_o_wl[cell]

@@ -80,8 +80,8 @@ wirelength, power and delay accumulations over the cell's nets.
 
 Work charges are identical to the scalar paths: one ``allocation`` unit
 per candidate plus one per net-pin the scalar walk would visit, and one
-``probe`` unit per candidate (the zero-cost throughput counter the bench
-derives cells-probed-per-second from).  Unit counts are integer-valued,
+``probe`` unit per candidate (the zero-cost throughput counter the
+records carry as ``work_units["probe"]``).  Unit counts are integer-valued,
 so the one batched charge per round is exact.
 """
 

@@ -507,11 +507,34 @@ def test_sweep_eval_mode_tags_artifact(tmp_path, capsys):
 def test_bad_knob_value_is_a_usage_error(command, bad, flag, tmp_path, capsys):
     """Every command rejects a bad knob value at parse time: exit 2 with
     a message naming the flag, before any cell (or rank) runs."""
+    _assert_usage_error(command + bad, flag, tmp_path, capsys)
+
+
+def _assert_usage_error(argv, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(command + bad + ["--out", str(tmp_path)])
+        main(argv + ["--out", str(tmp_path)])
     assert exc_info.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, bad, flag", [
+    (command, [flag, value], flag)
+    for command, flags in [
+        (["sweep", "--smoke", "--no-cache"],
+         ["--workers", "--scale", "--chunk-size"]),
+        (["tables", "--table", "4", "--smoke"], ["--workers", "--scale"]),
+    ]
+    for flag in flags
+    for value in ("0", "-1")
+])
+def test_bad_pool_or_scale_value_is_a_usage_error(
+    command, bad, flag, tmp_path, capsys,
+):
+    """The pool and scale flags of ``sweep`` and ``tables`` take positive
+    integers: 0 or less is the same parse-time usage error as a bad knob
+    (not a pool traceback, nor a silent full-budget run)."""
+    _assert_usage_error(command + bad, flag, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("argv, flag", [
