@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--objectives", type=_csv_list,
                        default=["wirelength", "power"],
                        help="comma-separated subset of wirelength,power,delay")
-    p_run.add_argument("--iterations", type=int, default=35,
+    p_run.add_argument("--iterations", type=_positive_int, default=35,
                        help="serial iteration budget (default 35 ≈ paper/100)")
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--p", type=int, default=None,

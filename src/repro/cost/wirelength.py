@@ -6,10 +6,12 @@ the coordinate arrays and cache the results.  Two access patterns:
 
 * **full sweep** — vectorized evaluation of every net at once (used when a
   placement is first attached and by the Type I slaves' partition sweeps);
-* **single net / override** — pure-Python evaluation of one net, optionally
-  with one cell's coordinates overridden (the allocation operator's trial
-  probes) or with unplaced cells excluded (partial solutions during
-  allocation).
+* **single net / override** — pure-Python evaluation of one net: one
+  kernel per estimator, ``eval_net_branch``, returns the length together
+  with its y-term (the engine's commit cache; callers wanting only the
+  length take ``[0]``), and ``eval_net_override`` evaluates it with one
+  cell's coordinates overridden (the allocation operator's trial probes).
+  Both exclude unplaced cells (partial solutions during allocation).
 
 Unplaced movable cells are marked by NaN coordinates and are skipped, so a
 partial solution Φp (selected cells removed) still has well-defined net
@@ -53,9 +55,6 @@ class NetEvaluator:
         # Single-net evaluation is the incremental-update hot path: bind
         # the estimator-specific inlined variant once (the generic
         # build-lists-then-call shape costs ~2x in interpreter overhead).
-        self.eval_net = (
-            self._eval_net_steiner if estimator == "steiner" else self._eval_net_hpwl
-        )
         self.eval_net_branch = (
             self._eval_branch_steiner
             if estimator == "steiner"
@@ -82,7 +81,7 @@ class NetEvaluator:
 
         Vectorized: gathers the CSR pin coordinates once and hands them to
         the batch estimator — per net, the result is bit-identical to
-        :meth:`eval_net` (the estimators' bit-exactness contract).
+        :meth:`eval_net_branch` (the estimators' bit-exactness contract).
 
         ``branch_out``, when given, is filled per net with the estimator's
         **y-term** — the single-trunk branch sum ``Σ|y_i − med|`` or the
@@ -113,12 +112,13 @@ class NetEvaluator:
         return out
 
     # ------------------------------------------------------------------
-    # eval_net — length of net ``j``, skipping unplaced (NaN) pins.  Bound
-    # per estimator in __init__; both variants inline their scalar
-    # estimator with the identical operation sequence (bit-identical to
-    # ``self._scalar`` over the gathered coordinate lists).
-    def _eval_net_steiner(self, j: int, x, y) -> float:
-        """Single-trunk length of net ``j`` (inlined ``eval_net``)."""
+    # eval_net_branch — ``(length, y-term)`` of net ``j``, skipping
+    # unplaced (NaN) pins.  Bound per estimator in __init__; both variants
+    # inline their scalar estimator with the identical operation sequence,
+    # so the length is bit-identical to ``self._scalar`` over the gathered
+    # coordinate lists.
+    def _eval_branch_steiner(self, j: int, x, y) -> tuple[float, float]:
+        """``(length, branch)`` of net ``j`` (single trunk)."""
         ys: list[float] = []
         lo = hi = 0.0
         n = 0
@@ -134,56 +134,18 @@ class NetEvaluator:
                 n += 1
                 ys.append(y[c])
         if n < 2:
-            return 0.0
+            return 0.0, 0.0
         if n == 2:
             # Two-pin fast path (the majority of nets): the sort is a
             # no-op for the median value (addition commutes bitwise) and
             # the branch loop unrolls — identical bits, half the work.
             y0, y1 = ys
             med = 0.5 * (y0 + y1)
-            return (hi - lo) + (abs(y0 - med) + abs(y1 - med))
-        if n == 3:
-            # Median-of-three by comparison; branch loop unrolled in pin
-            # order — identical bits to the sort-based general path.
-            y0, y1, y2 = ys
-            if y0 <= y1:
-                med = y1 if y1 <= y2 else (y2 if y0 <= y2 else y0)
-            else:
-                med = y0 if y0 <= y2 else (y2 if y1 <= y2 else y1)
-            return (hi - lo) + (abs(y0 - med) + abs(y1 - med) + abs(y2 - med))
-        sorted_y = sorted(ys)
-        med = sorted_y[n // 2] if n % 2 == 1 else 0.5 * (
-            sorted_y[n // 2 - 1] + sorted_y[n // 2]
-        )
-        branches = 0.0
-        for v in ys:
-            branches += abs(v - med)
-        return (hi - lo) + branches
-
-    def _eval_branch_steiner(self, j: int, x, y) -> tuple[float, float]:
-        """``(length, branch)`` of net ``j`` — same bits as ``eval_net``."""
-        ys: list[float] = []
-        lo = hi = 0.0
-        n = 0
-        for c in self.net_pins[j]:
-            vx = x[c]
-            if vx == vx:
-                if n == 0:
-                    lo = hi = vx
-                elif vx < lo:
-                    lo = vx
-                elif vx > hi:
-                    hi = vx
-                n += 1
-                ys.append(y[c])
-        if n < 2:
-            return 0.0, 0.0
-        if n == 2:
-            y0, y1 = ys
-            med = 0.5 * (y0 + y1)
             b = abs(y0 - med) + abs(y1 - med)
             return (hi - lo) + b, b
         if n == 3:
+            # Median-of-three by comparison; branch loop unrolled in pin
+            # order — identical bits to the sort-based general path.
             y0, y1, y2 = ys
             if y0 <= y1:
                 med = y1 if y1 <= y2 else (y2 if y0 <= y2 else y0)
@@ -201,7 +163,7 @@ class NetEvaluator:
         return (hi - lo) + branches, branches
 
     def _eval_branch_hpwl(self, j: int, x, y) -> tuple[float, float]:
-        """``(length, y-span)`` of net ``j`` — same bits as ``eval_net``."""
+        """``(length, y-span)`` of net ``j`` (bounding box)."""
         lo_x = hi_x = lo_y = hi_y = 0.0
         n = 0
         for c in self.net_pins[j]:
@@ -226,31 +188,6 @@ class NetEvaluator:
         yspan = hi_y - lo_y
         return (hi_x - lo_x) + yspan, yspan
 
-    def _eval_net_hpwl(self, j: int, x, y) -> float:
-        """HPWL of net ``j`` (inlined ``eval_net``)."""
-        lo_x = hi_x = lo_y = hi_y = 0.0
-        n = 0
-        for c in self.net_pins[j]:
-            vx = x[c]
-            if vx == vx:  # not NaN
-                vy = y[c]
-                if n == 0:
-                    lo_x = hi_x = vx
-                    lo_y = hi_y = vy
-                else:
-                    if vx < lo_x:
-                        lo_x = vx
-                    elif vx > hi_x:
-                        hi_x = vx
-                    if vy < lo_y:
-                        lo_y = vy
-                    elif vy > hi_y:
-                        hi_y = vy
-                n += 1
-        if n < 2:
-            return 0.0
-        return (hi_x - lo_x) + (hi_y - lo_y)
-
     def eval_net_override(
         self,
         j: int,
@@ -262,8 +199,8 @@ class NetEvaluator:
     ) -> float:
         """Length of net ``j`` with ``cell`` forced to ``(cx, cy)``.
 
-        Other unplaced pins are skipped as in :meth:`eval_net`; if ``cell``
-        is not on the net its pins are evaluated as-is.
+        Other unplaced pins are skipped as in :meth:`eval_net_branch`; if
+        ``cell`` is not on the net its pins are evaluated as-is.
         """
         xs: list[float] = []
         ys: list[float] = []

@@ -224,8 +224,10 @@ class SweepCell:
 
 
 def scaled_iterations(paper_iters: int, scale: int = 100, minimum: int = 20) -> int:
-    """Paper budget divided by ``scale``, floored to stay meaningful."""
-    return max(minimum, paper_iters // max(1, scale))
+    """Paper budget divided by ``scale`` (>= 1), floored to stay meaningful."""
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+    return max(minimum, paper_iters // scale)
 
 
 def derive_seeds(root_seed: int, n: int) -> list[int]:

@@ -29,8 +29,8 @@ Fault kinds
     cluster, whose ranks are threads).
 ``wedge``
     The victim SIGSTOPs itself — the process lives but stops
-    heartbeating, exercising the socket backend's heartbeat monitor
-    (:class:`~repro.parallel.mpi.socket_backend.LivenessMonitor`).
+    heartbeating, exercising the socket router's last-seen table
+    (``SocketCluster._route`` in :mod:`repro.parallel.mpi.socket_backend`).
     Exception-mode backends raise :class:`InjectedFault` instead.
 ``disconnect``
     The victim closes its transport connection without dying — the

@@ -45,13 +45,21 @@ A routed star must *tell* ranks about departures:
   targeted receive from it raises :class:`CommError`.  Because each
   rank's frames arrive on one ordered stream, everything it sent is
   forwarded *before* its PEERDOWN — no message loss on a clean exit;
-* an EOF on a rank's connection before its RESULT (SIGKILL, OOM,
-  ``os._exit``) makes the router terminate the survivors and raise
+* every rank starts *away* (no connection).  One admission takes each
+  HELLO bearing the per-run session token — a rank's first connect and
+  its reconnect after a dropped connection alike — and flushes the frames
+  queued for the rank while it was away; any other connection is closed
+  and ignored.  An EOF makes the rank away again;
+* an away rank whose process has exited (SIGKILL, OOM, ``os._exit``),
+  whether before its first HELLO or after a drop, makes the router
+  terminate the survivors and raise
   ``CommError("rank(s) died without result: ...")``;
 * every rank runs a daemon heartbeat thread; a rank that is alive but
-  wedged (SIGSTOP, native-code hang) stops heartbeating, and the router's
-  :class:`LivenessMonitor` raises :class:`CommError` once its silence
-  exceeds ``heartbeat_timeout``;
+  wedged (SIGSTOP, native-code hang) stops heartbeating, and the router
+  raises :class:`CommError` once its silence exceeds
+  ``heartbeat_timeout``.  The router's last-seen table starts at a rank's
+  admission, takes every frame, and is beaten once when a connection
+  drops, so the same window bounds a reconnect;
 * the whole run sits under a configurable ``timeout`` deadline (CLI:
   ``--deadline``), so no failure mode can stall a caller forever.
 """
@@ -110,8 +118,12 @@ _POLL_SECONDS = 0.2
 #: Cap on the exponential backoff between a rank's reconnect attempts.
 _RECONNECT_BACKOFF_CAP = 2.0
 
-#: Grace for ``join()`` on a process already observed dead (exitcode set
-#: or EOF seen) — reaping bookkeeping, not a liveness decision.
+#: Bound on reading a freshly accepted connection's HELLO: a real rank
+#: sends it right after connecting, so only a stray client waits this out.
+_HELLO_TIMEOUT_SECONDS = 2.0
+
+#: Grace for ``join()`` on a process already observed dead (exitcode
+#: set) — reaping bookkeeping, not a liveness decision.
 _REAP_JOIN_SECONDS = 1.0
 
 #: SIGTERM grace before escalating to SIGKILL during cleanup; short
@@ -120,49 +132,6 @@ _TERM_GRACE_SECONDS = 5.0
 
 #: Default heartbeat send interval (seconds) inside each rank.
 DEFAULT_HEARTBEAT = 2.0
-
-
-class LivenessMonitor:
-    """Tracks when each rank was last seen; flags the ones gone silent.
-
-    EOF tells the router that a rank *died*; nothing tells it that a rank
-    is alive but *wedged*.  The router beats the monitor on *every* frame
-    (data counts as proof of life, heartbeats only cover idle ranks) and
-    declares a rank wedged once its silence exceeds ``timeout``.
-    """
-
-    def __init__(self, timeout: float):
-        self.timeout = timeout
-        self._last: dict[int, float] = {}
-
-    def register(self, rank: int) -> None:
-        self._last[rank] = time.perf_counter()
-
-    def beat(self, rank: int) -> None:
-        if rank in self._last:
-            self._last[rank] = time.perf_counter()
-
-    def forget(self, rank: int) -> None:
-        self._last.pop(rank, None)
-
-    def reset(self) -> None:
-        """Restart every rank's window (e.g. after a long accept phase)."""
-        now = time.perf_counter()
-        for rank in self._last:
-            self._last[rank] = now
-
-    def stale(self, now: float) -> list[int]:
-        """Ranks silent for longer than ``timeout``, sorted."""
-        return sorted(
-            r for r, seen in self._last.items() if now - seen > self.timeout
-        )
-
-    def silence_error(self, ranks: list[int]) -> CommError:
-        """The wedge report the router raises under the abort policy."""
-        return CommError(
-            f"rank(s) {ranks} went silent: no heartbeat for "
-            f"{self.timeout:.1f}s (wedged or stopped)"
-        )
 
 
 class _SocketComm(BufferedComm):
@@ -182,7 +151,7 @@ class _SocketComm(BufferedComm):
         work_model: WorkModel | None = None,
         family: int | None = None,
         address: Any = None,
-        token: str | None = None,
+        token: bytes | None = None,
         reconnect_attempts: int = 8,
         reconnect_backoff: float = 0.05,
     ):
@@ -234,22 +203,12 @@ class _SocketComm(BufferedComm):
             delay = self._reconnect_backoff
             last: Exception | None = None
             for _attempt in range(self._reconnect_attempts):
-                sock = socket.socket(self._family, socket.SOCK_STREAM)
                 try:
-                    sock.connect(self._address)
-                    if self._family == socket.AF_INET:
-                        sock.setsockopt(
-                            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                        )
-                    send_frame(
-                        sock, FRAME_HELLO, self._rank, -1, 0,
-                        pickle.dumps(
-                            self._token, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
+                    sock = _dial(
+                        self._family, self._address, self._rank, self._token
                     )
                 except OSError as exc:
                     last = exc
-                    sock.close()
                     time.sleep(delay)
                     delay = min(delay * 2, _RECONNECT_BACKOFF_CAP)
                     continue
@@ -341,6 +300,24 @@ def _heartbeat_loop(
             return
 
 
+def _dial(family: int, address: Any, rank: int, token: bytes) -> socket.socket:
+    """Connect to the router and introduce ``rank`` with the session token.
+
+    The one dial of a rank: its first connect and every reconnect.  Raises
+    :class:`OSError` (with the socket closed) when the router is unreachable.
+    """
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    try:
+        sock.connect(address)
+        if family == socket.AF_INET:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        send_frame(sock, FRAME_HELLO, rank, -1, 0, token)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
 def _socket_worker(
     rank: int,
     size: int,
@@ -351,22 +328,14 @@ def _socket_worker(
     args: tuple,
     kwargs: dict,
     heartbeat: float,
-    token: str | None = None,
+    token: bytes,
 ) -> None:
-    sock = socket.socket(family, socket.SOCK_STREAM)
     try:
-        sock.connect(address)
+        sock = _dial(family, address, rank, token)
     except OSError:
         # Router already gone (parent died / run aborted): exit silently;
         # the parent reports the failure on its side.
-        sock.close()
         return
-    if family == socket.AF_INET:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    send_frame(
-        sock, FRAME_HELLO, rank, -1, 0,
-        pickle.dumps(token, protocol=pickle.HIGHEST_PROTOCOL),
-    )
     comm = _SocketComm(
         rank, size, sock, work_model,
         family=family, address=address, token=token,
@@ -420,6 +389,13 @@ def pick_start_method() -> str:
     return "spawn"
 
 
+def _died_without_result(procs: list[Any], ranks: list[int]) -> str:
+    """The report of ranks whose process exited without shipping a result."""
+    return "rank(s) died without result: " + ", ".join(
+        f"rank {r} (exitcode {procs[r].exitcode})" for r in ranks
+    )
+
+
 class SocketCluster:
     """Hub-and-spoke SPMD execution (see module docstring).
 
@@ -443,11 +419,12 @@ class SocketCluster:
     heartbeat:
         Per-rank heartbeat send interval in seconds.
     heartbeat_timeout:
-        Silence threshold after which a rank counts as wedged; defaults
-        to ``max(30, 10 × heartbeat)`` — generous enough that CPU
+        Silence threshold after which an admitted rank counts as wedged;
+        defaults to ``max(30, 10 × heartbeat)`` — generous enough that CPU
         oversubscription at p = 64 cannot starve a healthy rank's
         heartbeat thread into a false positive.  The same window bounds
-        a disconnected rank's re-admission.
+        a disconnected rank's reconnect; before its first HELLO only the
+        run deadline bounds a rank.
     faults:
         Optional :class:`~repro.parallel.faults.FaultPlan` armed on
         every rank in process mode (kills really ``_exit``, wedges
@@ -514,7 +491,7 @@ class SocketCluster:
 
         Raises :class:`CommError` if any rank fails — with its repr'd
         exception when the rank shipped one, "died without result" when
-        its connection hit EOF first, or a heartbeat/deadline report when
+        its process exited first, or a heartbeat/deadline report when
         it wedged — always after every child process has been reaped and
         every descriptor closed.
         """
@@ -522,10 +499,15 @@ class SocketCluster:
             raise ValueError("per_rank_kwargs must have one entry per rank")
         fn = chained(fn, self, mode="process")
         ctx = mp.get_context(self.start_method)
-        # Per-run session token: a reconnecting rank must present it with
-        # its re-HELLO, so a stray client (or a rank from a previous run
-        # racing cleanup) can never be admitted as a live rank.
-        token = os.urandom(16).hex()  # repro: noqa[D103] -- connection-admission secret only; never reaches results, seeds, or cache keys
+        # Per-run session token: every HELLO must carry it, so a stray
+        # client (or a rank from a previous run racing cleanup) can never
+        # be admitted as a live rank.  Pickled once, it is the HELLO payload
+        # byte for byte: the router compares bytes, never unpickling what
+        # an unknown client sent.
+        token = pickle.dumps(
+            os.urandom(16).hex(),  # repro: noqa[D103] -- connection-admission secret only; never reaches results, seeds, or cache keys
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
         tmpdir: str | None = None
         if self.address is None:
@@ -571,11 +553,8 @@ class SocketCluster:
                 proc.start()
                 procs.append(proc)
 
-            monitor = self._accept_all(listener, conns, procs, deadline, token)
-            # The listener stays open through routing: it is the
-            # re-admission endpoint for ranks whose connection drops.
             statuses, lost = self._route(
-                sel, listener, conns, procs, monitor, deadline, t0, token
+                sel, listener, conns, procs, deadline, token
             )
             wall = time.perf_counter() - t0
         finally:
@@ -607,123 +586,75 @@ class SocketCluster:
             lost=lost,
         )
 
-    # -- run phases -------------------------------------------------------
-    def _accept_all(
-        self,
-        listener: socket.socket,
-        conns: dict[int, socket.socket],
-        procs: list[Any],
-        deadline: float | None,
-        token: str,
-    ) -> LivenessMonitor:
-        """Accept one HELLO-bearing connection per rank; map rank → conn."""
-        listener.settimeout(_POLL_SECONDS)
-        monitor = LivenessMonitor(self.heartbeat_timeout)
-        while len(conns) < self.size:
-            now = time.perf_counter()
-            if deadline is not None and now >= deadline:
-                missing = sorted(set(range(self.size)) - set(conns))
-                raise CommError(
-                    f"socket run exceeded its {self.timeout:.0f}s deadline "
-                    f"while waiting for ranks {missing} to connect"
-                )
-            try:
-                conn, _peer = listener.accept()
-            except socket.timeout:
-                # Only with the accept queue drained is a missing-but-
-                # exited rank really gone: a rank that connects, finishes
-                # fast and exits leaves its connection (HELLO and RESULT
-                # already buffered) waiting here, and must not be
-                # misreported as dead.
-                dead = [
-                    r
-                    for r in range(self.size)
-                    if r not in conns and procs[r].exitcode is not None
-                ]
-                if dead:
-                    raise CommError(
-                        "rank(s) died without result: "
-                        + ", ".join(
-                            f"rank {r} (exitcode {procs[r].exitcode})"
-                            for r in dead
-                        )
-                    )
-                continue
-            kind, src, _dest, _tag, payload = recv_frame(conn)
-            tok = pickle.loads(payload) if payload else None
-            if (
-                kind != FRAME_HELLO
-                or not 0 <= src < self.size
-                or src in conns
-                or tok != token
-            ):
-                conn.close()
-                raise CommError(
-                    f"socket router: bad HELLO (kind={kind}, rank={src})"
-                )
-            conns[src] = conn
-            monitor.register(src)
-        return monitor
-
+    # -- the run's one phase ----------------------------------------------
     def _route(
         self,
         sel: selectors.BaseSelector,
         listener: socket.socket,
         conns: dict[int, socket.socket],
         procs: list[Any],
-        monitor: LivenessMonitor,
         deadline: float | None,
-        t0: float,
-        token: str,
+        token: bytes,
     ) -> tuple[list[tuple[str, Any, float, dict] | None], dict[int, str]]:
-        """Forward frames between ranks until every result is in.
+        """Admit ranks and forward frames between them until every result is in.
 
         Returns ``(statuses, lost)``: ``lost`` is only ever populated
         under ``on_rank_failure="degrade"`` — the abort path raises on
         the first loss, exactly as before fault tolerance existed.
 
-        A connection EOF whose process is still alive opens a
-        *disconnected* window instead of counting as a death: frames for
-        the rank are queued, and a re-HELLO on the (still open) listener
-        bearing the session token re-admits it and flushes the queue.
-        The window is bounded by the heartbeat timeout (the monitor is
-        beaten once, at disconnect) and by the run deadline.
+        Every rank starts *away* (no connection).  One admission, ``admit``,
+        takes each HELLO on the listener — a rank's first connect and its
+        reconnect after a dropped connection alike — when it carries the
+        session token and names an away rank without a result; any other
+        connection is closed and ignored.  Frames for an away rank queue
+        here and are flushed on admission.  A connection EOF makes its
+        rank away again; an away rank whose process has exited is a death.
+        ``last_seen`` (set at admission and on every frame, beaten once
+        when a connection drops) bounds an admitted rank's silence, and so
+        its reconnect window, by the heartbeat timeout; before its first
+        HELLO only the run deadline bounds a rank.
         """
-        for rank, conn in conns.items():
-            sel.register(conn, selectors.EVENT_READ, rank)
-        listener.settimeout(0.0)
+        listener.setblocking(False)
         sel.register(listener, selectors.EVENT_READ, None)
-        # Restart the liveness window now: a long accept phase (spawn at
-        # p = 64) must not count against ranks that connected early.
-        monitor.reset()
         statuses: list[tuple[str, Any, float, dict] | None] = [None] * self.size
         pending = set(range(self.size))  # ranks without a result yet
-        down: set[int] = set()  # finished or dead ranks
         deaths: list[int] = []
         lost: dict[int, str] = {}
-        disconnected: set[int] = set()
         requeue: dict[int, list[bytes]] = {}
+        last_seen: dict[int, float] = {}
+        silent = (
+            f"went silent: no heartbeat for {self.heartbeat_timeout:.1f}s "
+            "(wedged or stopped)"
+        )
+
+        def deliver(to: int, frame: bytes) -> None:
+            """Forward a frame, or queue it while its rank is away.
+
+            A connected rank with frames still queued (its flush or a
+            forward failed) gets later frames queued behind them, in order.
+            """
+            if to in conns and not requeue.get(to):
+                try:
+                    forward_frame(conns[to], frame)
+                    return
+                except OSError:
+                    # The connection broke; its EOF will surface via select
+                    # and make the rank away.  Queue the frame for its
+                    # reconnect rather than report a living rank as down.
+                    pass
+            requeue.setdefault(to, []).append(frame)
 
         def tell_peerdown(gone: int, to: int) -> None:
-            if to in down:
-                return
-            frame = pack_frame(FRAME_PEERDOWN, gone, to, 0)
-            if to in disconnected:
-                requeue.setdefault(to, []).append(frame)
-                return
-            if to not in conns:
-                return
-            try:
-                forward_frame(conns[to], frame)
-            except OSError:
-                pass  # that conn's own EOF will surface via select
+            if to in pending:
+                deliver(to, pack_frame(FRAME_PEERDOWN, gone, to, 0))
 
-        def mark_dead(rank: int, reason: str) -> None:
+        def retire(rank: int) -> None:
             pending.discard(rank)
-            down.add(rank)
-            disconnected.discard(rank)
             requeue.pop(rank, None)
-            monitor.forget(rank)
+            last_seen.pop(rank, None)
+
+        def lose(rank: int, reason: str) -> None:
+            retire(rank)
             if self.on_rank_failure == "degrade":
                 lost[rank] = reason
                 for peer in range(self.size):
@@ -736,11 +667,51 @@ class SocketCluster:
             conn = conns.pop(rank, None)
             if conn is None:
                 return
-            try:
-                sel.unregister(conn)
-            except KeyError:  # pragma: no cover - never registered
-                pass
+            sel.unregister(conn)
             conn.close()
+
+        def admit() -> bool:
+            """Take one connection off the listener and admit its rank if
+            the HELLO is good; False once the accept queue is empty."""
+            try:
+                conn, _peer = listener.accept()
+            except OSError:  # BlockingIOError: nothing queued
+                return False
+            try:
+                conn.settimeout(_HELLO_TIMEOUT_SECONDS)
+                kind, src, _dest, _tag, payload = recv_frame(conn)
+            except (EOFError, OSError):
+                conn.close()
+                return True
+            if (
+                kind != FRAME_HELLO
+                or payload != token
+                or src not in pending
+                or src in conns
+            ):
+                # Strays, bad tokens, connected ranks, or ranks finished or
+                # given up on: the router never admits them.
+                conn.close()
+                return True
+            conn.settimeout(None)
+            if conn.family == socket.AF_INET:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            queued = requeue.pop(src, [])
+            for i, frame in enumerate(queued):
+                try:
+                    forward_frame(conn, frame)
+                except OSError:
+                    # Dropped again mid-flush: keep the unsent tail (this
+                    # frame included) for the next admission, but still
+                    # read what the rank sent — a rank that finished and
+                    # exited before admission has its RESULT buffered here,
+                    # and the connection's EOF then makes it away again.
+                    requeue[src] = queued[i:]
+                    break
+            conns[src] = conn
+            sel.register(conn, selectors.EVENT_READ, src)
+            last_seen[src] = time.perf_counter()
+            return True
 
         while pending:
             now = time.perf_counter()
@@ -749,163 +720,84 @@ class SocketCluster:
                     f"socket run exceeded its {self.timeout:.0f}s deadline; "
                     f"still waiting for ranks {sorted(pending)}"
                 )
-            # A disconnected rank whose process has exited can never
-            # re-HELLO: convert the open window into a death now.
-            for r in sorted(disconnected):
-                if r in pending and procs[r].exitcode is not None:
-                    procs[r].join(timeout=_REAP_JOIN_SECONDS)
-                    mark_dead(
-                        r,
-                        f"rank {r} died while disconnected "
-                        f"(exitcode {procs[r].exitcode})",
-                    )
-            stale = [r for r in monitor.stale(now) if r in pending]
-            if stale:
-                if self.on_rank_failure == "degrade":
-                    for r in stale:
-                        # SIGKILL: works on a SIGSTOPped process where
-                        # SIGTERM would stay pending forever.
-                        if procs[r].is_alive():
-                            procs[r].kill()
-                            procs[r].join()
-                        drop_conn(r)
-                        mark_dead(
-                            r,
-                            f"rank {r} went silent: no heartbeat for "
-                            f"{self.heartbeat_timeout:.1f}s "
-                            "(wedged or stopped)",
-                        )
-                else:
-                    raise monitor.silence_error(stale)
+            stale = sorted(
+                r for r, seen in last_seen.items()
+                if now - seen > self.heartbeat_timeout
+            )
+            if stale and self.on_rank_failure != "degrade":
+                raise CommError(f"rank(s) {stale} {silent}")
+            for r in stale:
+                # SIGKILL: works on a SIGSTOPped process where SIGTERM
+                # would stay pending forever.
+                if procs[r].is_alive():
+                    procs[r].kill()
+                    procs[r].join()
+                drop_conn(r)
+                lose(r, f"rank {r} {silent}")
             poll = _POLL_SECONDS
             if deadline is not None:
                 poll = min(poll, max(0.0, deadline - now))
+            accepting = False
             for key, _events in sel.select(timeout=poll):
                 if key.data is None:
-                    self._readmit(
-                        listener, sel, conns, monitor,
-                        disconnected, requeue, pending, token,
-                    )
+                    accepting = True  # the listener: admitted below
                     continue
                 rank = key.data
-                conn = key.fileobj
                 try:
-                    kind, _src, dest, tag, payload = recv_frame(conn)
+                    kind, _src, dest, tag, payload = recv_frame(key.fileobj)
                 except (EOFError, OSError):
-                    sel.unregister(conn)
-                    conn.close()
-                    del conns[rank]
-                    if rank not in pending:
-                        continue
-                    if procs[rank].is_alive():
-                        # Dropped connection, living process: open the
-                        # re-admission window.  One beat now makes the
-                        # heartbeat timeout the reconnect budget.
-                        disconnected.add(rank)
-                        monitor.beat(rank)
-                    else:
-                        procs[rank].join(timeout=_REAP_JOIN_SECONDS)
-                        mark_dead(
-                            rank,
-                            f"rank {rank} died without result "
-                            f"(exitcode {procs[rank].exitcode})",
-                        )
+                    drop_conn(rank)
+                    if rank in pending:
+                        # The rank is away until it re-HELLOs (or is found
+                        # dead below).  One beat now makes the heartbeat
+                        # timeout the reconnect budget.
+                        last_seen[rank] = time.perf_counter()
                     continue
-                monitor.beat(rank)
-                if kind == FRAME_HEARTBEAT:
-                    continue
+                if rank not in pending:
+                    continue  # a heartbeat that raced its rank's RESULT
+                last_seen[rank] = time.perf_counter()
                 if kind == FRAME_RESULT:
                     statuses[rank] = pickle.loads(payload)
-                    pending.discard(rank)
-                    down.add(rank)
-                    monitor.forget(rank)
+                    retire(rank)
                     # A rank's stream is ordered: everything it sent was
                     # forwarded before this point, so peers see its data
                     # before learning it is gone.
                     for peer in range(self.size):
                         if peer != rank:
                             tell_peerdown(rank, peer)
-                    continue
-                if kind == FRAME_DATA:
-                    if not 0 <= dest < self.size:
-                        continue  # comm validates; drop defensively
-                    frame = pack_frame(FRAME_DATA, rank, dest, tag, payload)
-                    if dest in disconnected:
-                        requeue.setdefault(dest, []).append(frame)
-                        continue
-                    if dest in down or dest not in conns:
+                elif kind == FRAME_DATA and 0 <= dest < self.size:
+                    # (comm validates ``dest``; out of range is dropped)
+                    if dest in pending:
+                        deliver(
+                            dest,
+                            pack_frame(FRAME_DATA, rank, dest, tag, payload),
+                        )
+                    else:
                         tell_peerdown(dest, rank)
-                        continue
-                    try:
-                        forward_frame(conns[dest], frame)
-                    except OSError:
-                        tell_peerdown(dest, rank)
-                    continue
-                # HELLO (duplicate) or unknown: ignore.
-            if deaths:
-                for r in deaths:
+                # HEARTBEAT, duplicate HELLO or unknown: nothing to route.
+            # An away rank whose process has exited can never HELLO again.
+            # Judge that only with the accept queue drained: a rank that
+            # connects, finishes fast and exits leaves its connection (HELLO
+            # and RESULT already buffered) queued there, and must be
+            # admitted and its result read, not reported dead.  Otherwise
+            # admit one connection per turn, so a re-HELLO queued behind
+            # others meets its rank only after this turn's EOFs are read.
+            exited = [
+                r for r in sorted(pending - conns.keys())
+                if procs[r].exitcode is not None
+            ]
+            if exited:
+                while admit():
+                    pass
+            elif accepting:
+                admit()
+            for r in exited:
+                if r not in conns:
                     procs[r].join(timeout=_REAP_JOIN_SECONDS)
-                raise CommError(
-                    "rank(s) died without result: "
-                    + ", ".join(
-                        f"rank {r} (exitcode {procs[r].exitcode})"
-                        for r in deaths
-                    )
-                )
+                    lose(r, _died_without_result(procs, [r]))
+            if deaths:
+                raise CommError(_died_without_result(procs, deaths))
         return statuses, lost
-
-    def _readmit(
-        self,
-        listener: socket.socket,
-        sel: selectors.BaseSelector,
-        conns: dict[int, socket.socket],
-        monitor: LivenessMonitor,
-        disconnected: set[int],
-        requeue: dict[int, list[bytes]],
-        pending: set[int],
-        token: str,
-    ) -> None:
-        """Admit one reconnecting rank: token-checked re-HELLO, queue flush."""
-        try:
-            conn, _peer = listener.accept()
-        except (BlockingIOError, OSError):
-            return
-        try:
-            conn.settimeout(2.0)
-            kind, src, _dest, _tag, payload = recv_frame(conn)
-            tok = pickle.loads(payload) if payload else None
-        except (EOFError, OSError, pickle.UnpicklingError):
-            conn.close()
-            return
-        if (
-            kind != FRAME_HELLO
-            or tok != token
-            or src not in disconnected
-            or src not in pending
-        ):
-            # Strays, bad tokens, or ranks we already gave up on: the
-            # router never readmits them (re-admission is bounded by the
-            # heartbeat window that `mark_dead` closes).
-            conn.close()
-            return
-        conn.settimeout(None)
-        if conn.family == socket.AF_INET:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        queued = requeue.pop(src, [])
-        while queued:
-            frame = queued.pop(0)
-            try:
-                forward_frame(conn, frame)
-            except OSError:
-                # Dropped again mid-flush: keep the window open with the
-                # unsent tail (this frame included) intact.
-                requeue[src] = [frame, *queued]
-                conn.close()
-                return
-        disconnected.discard(src)
-        conns[src] = conn
-        sel.register(conn, selectors.EVENT_READ, src)
-        monitor.beat(src)
 
     def _cleanup(
         self,

@@ -114,7 +114,7 @@ def _partial_evaluate(
     x, y = p.x, p.y
     units = 0.0
     for j in union_nets:
-        lengths[j] = ev.eval_net(j, x, y)
+        lengths[j] = ev.eval_net_branch(j, x, y)[0]
         units += engine._degrees[j]
     engine.meter.charge("wirelength", units)
     act = engine._act

@@ -524,6 +524,7 @@ def _assert_usage_error(argv, flag, tmp_path, capsys):
         (["sweep", "--smoke", "--no-cache"],
          ["--workers", "--scale", "--chunk-size"]),
         (["tables", "--table", "4", "--smoke"], ["--workers", "--scale"]),
+        (["run", "--circuit", "s1196"], ["--iterations"]),
     ]
     for flag in flags
     for value in ("0", "-1")
@@ -531,9 +532,10 @@ def _assert_usage_error(argv, flag, tmp_path, capsys):
 def test_bad_pool_or_scale_value_is_a_usage_error(
     command, bad, flag, tmp_path, capsys,
 ):
-    """The pool and scale flags of ``sweep`` and ``tables`` take positive
-    integers: 0 or less is the same parse-time usage error as a bad knob
-    (not a pool traceback, nor a silent full-budget run)."""
+    """The pool and scale flags of ``sweep`` and ``tables`` and the
+    iteration budget of ``run`` take positive integers: 0 or less is the
+    same parse-time usage error as a bad knob (not a pool or engine
+    traceback, nor a silent full-budget run)."""
     _assert_usage_error(command + bad, flag, tmp_path, capsys)
 
 

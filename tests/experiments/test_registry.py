@@ -144,6 +144,16 @@ def test_scaled_iterations_floor():
     assert scaled_iterations(3500, 1) == 3500
 
 
+@pytest.mark.parametrize("scale", [0, -1])
+def test_scale_below_one_is_refused(scale):
+    """A library caller's scale < 1 is an error naming the scale, not a
+    silent clamp to the paper's full budget."""
+    with pytest.raises(ValueError, match=f"scale must be >= 1, got {scale}"):
+        scaled_iterations(3500, scale)
+    with pytest.raises(ValueError, match="scale"):
+        resolve("table1", scale=scale, circuits=["s1196"])
+
+
 def test_spec_serialization_roundtrip():
     spec = ExperimentSpec(
         circuit="s1196",

@@ -4,7 +4,9 @@ The conformance suite (``test_backend_conformance.py``) pins the shared
 communicator semantics; this file pins what only the router can do —
 surviving a killed rank without leaking descriptors, catching a *wedged*
 (SIGSTOPped) rank through heartbeats, re-admitting a disconnected rank,
-honoring the run deadline, TCP addressing, the p <= 256 bound — and the
+admitting every rank — first connect or reconnect — through one
+token-checked HELLO, honoring the run deadline, TCP addressing, the
+p <= 256 bound — and the
 determinism contract: a rank-addressed strategy on the socket backend is
 bit-identical run to run and to the sim backend.
 
@@ -13,7 +15,10 @@ Failures are injected with seeded :class:`FaultPlan`s rather than ad-hoc
 — the same plan kills the same rank at the same comm op every time.
 """
 
+import multiprocessing as mp
 import os
+import pickle
+import socket
 import time
 
 import pytest
@@ -21,7 +26,9 @@ import pytest
 from repro.netlist.generator import CircuitSpec
 from repro.netlist.suite import PAPER_CIRCUITS
 from repro.parallel.faults import KILL_EXIT, FaultPlan
+from repro.parallel.mpi import socket_backend
 from repro.parallel.mpi.comm import ANY_SOURCE, CommError
+from repro.parallel.mpi.message import FRAME_HELLO, send_frame
 from repro.parallel.mpi.socket_backend import (
     MAX_SOCKET_RANKS,
     SocketCluster,
@@ -64,8 +71,6 @@ def test_sigkill_rank_raises_within_deadline_and_leaks_nothing():
     # Detection is EOF-driven — far faster than the 60 s deadline.
     assert time.perf_counter() - t0 < 20
     # Survivors were reaped and every socket/selector/pipe was closed.
-    import multiprocessing as mp
-
     assert not [c for c in mp.active_children() if "sockrank" in c.name]
     assert _open_fds() == before
 
@@ -135,6 +140,126 @@ def test_deadline_terminates_hung_run():
     assert time.perf_counter() - t0 < 20  # terminated, not slept out
 
 
+# ---------------------------------------------------------------- admission
+
+
+def _rank_of(comm):
+    return comm.rank
+
+
+#: The dial-patching tests rely on forked ranks inheriting the patch.
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+
+
+def test_fast_exiting_ranks_are_admitted_not_reported_dead():
+    """A rank can connect, send HELLO and RESULT and exit before the
+    router accepts it: its queued connection must be admitted and its
+    result read, never mistaken for a death."""
+    for _ in range(20):
+        res = SocketCluster(8, timeout=60).run(_rank_of)
+        assert res.results == list(range(8))
+        assert res.lost == {}
+
+
+#: Stray connections a rank holds open until it exits, so the router
+#: cannot see them close before it judges their HELLO.
+_STRAYS: list[socket.socket] = []
+
+
+def _dial_stray(family, address, claimed, token):
+    sock = socket.socket(family, socket.SOCK_STREAM)
+    sock.connect(address)
+    send_frame(sock, FRAME_HELLO, claimed, -1, 0, token)
+    _STRAYS.append(sock)
+
+
+def _pingpong_with_strays(comm):
+    # Mid-run, rank 1 dials the router with wrong-token HELLOs claiming
+    # every rank; the router must close them without disturbing the run.
+    if comm.rank == 1:
+        for claimed in range(comm.size):
+            _dial_stray(comm._family, comm._address, claimed,
+                        pickle.dumps("not-the-session-token"))
+    return _pingpong(comm)
+
+
+def test_wrong_token_hello_mid_run_is_ignored():
+    clean = SocketCluster(3, timeout=60).run(_pingpong)
+    strayed = SocketCluster(3, timeout=60).run(_pingpong_with_strays)
+    assert strayed.results == clean.results
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "bad_token", [pickle.dumps("wrong"), b""], ids=["wrong", "missing"]
+)
+def test_bad_token_first_connect_is_ignored(monkeypatch, bad_token):
+    """Before its real dial, rank 1 presents a bad (or no) token for
+    itself — an away rank — and keeps that connection open: the router
+    closes it and admits only the real HELLO."""
+    dial = socket_backend._dial
+
+    def dial_after_stray(family, address, rank, token):
+        if rank == 1:
+            _dial_stray(family, address, rank, bad_token)
+        return dial(family, address, rank, token)
+
+    clean = SocketCluster(3, timeout=60).run(_pingpong)
+    monkeypatch.setattr(socket_backend, "_dial", dial_after_stray)
+    strayed = SocketCluster(3, timeout=60, start_method="fork").run(_pingpong)
+    assert strayed.results == clean.results
+
+
+def _exit_before_hello(monkeypatch):
+    """Rank 2's process exits inside its first dial (fork inherits the
+    patched module)."""
+    dial = socket_backend._dial
+
+    def dial_or_exit(family, address, rank, token):
+        if rank == 2:
+            os._exit(KILL_EXIT)
+        return dial(family, address, rank, token)
+
+    monkeypatch.setattr(socket_backend, "_dial", dial_or_exit)
+
+
+@needs_fork
+def test_rank_exiting_before_hello_aborts_the_run(monkeypatch):
+    _exit_before_hello(monkeypatch)
+    with pytest.raises(
+        CommError,
+        match=rf"died without result: rank 2 \(exitcode {KILL_EXIT}\)",
+    ):
+        SocketCluster(4, timeout=60, start_method="fork").run(_rank_of)
+
+
+@needs_fork
+def test_rank_exiting_before_hello_is_lost_under_degrade(monkeypatch):
+    _exit_before_hello(monkeypatch)
+    res = SocketCluster(
+        4, timeout=60, start_method="fork", on_rank_failure="degrade",
+    ).run(_rank_of)
+    assert list(res.lost) == [2]
+    assert f"rank 2 (exitcode {KILL_EXIT})" in res.lost[2]
+    assert res.results == [0, 1, None, 3]
+
+
+@pytest.mark.parametrize("at", [1, 2])
+def test_disconnect_around_admission_reconnects(at):
+    """A drop at a rank's first ops races admission and routing: the
+    frames for the rank queue until its re-HELLO, nothing is lost and no
+    living peer is reported down."""
+    clean = SocketCluster(3, timeout=60).run(_pingpong)
+    for _ in range(5):
+        faulted = SocketCluster(
+            3, timeout=60,
+            faults=FaultPlan.parse(f"disconnect:rank=1:at={at}", seed=0),
+        ).run(_pingpong)
+        assert faulted.results == clean.results
+
+
 # ------------------------------------------------------ topology and bounds
 
 
@@ -144,8 +269,6 @@ def test_tcp_address_round_trips():
 
 
 def test_start_method_is_available():
-    import multiprocessing as mp
-
     assert pick_start_method() in mp.get_all_start_methods()
     # Explicit override is honoured.
     assert SocketCluster(2, start_method="spawn").start_method == "spawn"
