@@ -43,6 +43,10 @@ its incident nets changes length, and re-evaluation still charges one
 ``goodness`` unit per cell per sweep (the meter models the paper's
 algorithm, not this implementation's shortcuts).
 
+A caller that rebinds before it reads the evaluation again (a Type II
+rank after selection) calls ``discard_evaluation``: until then commits
+charge exactly as before but skip the nets no charge depends on.
+
 Performance note: following the domain guides (profile first, then pick the
 representation the hot path wants), all per-net/per-cell caches that the
 probe loops touch are plain Python lists — the loops make millions of
@@ -351,6 +355,7 @@ class CostEngine:
     def full_refresh(self) -> None:
         """Recompute every cache from the current (complete) placement."""
         p = self._require_placement()
+        self._discarded = False
         x = np.asarray(p.x)
         y = np.asarray(p.y)
         branch: list = [None] * self.netlist.num_nets
@@ -368,6 +373,7 @@ class CostEngine:
         Only valid when the caches exactly reflect the bound placement
         (immediately after a refresh/attach, before further mutations).
         """
+        self._require_evaluation()
         return (
             list(self.net_lengths),
             list(self._net_branch),
@@ -408,6 +414,7 @@ class CostEngine:
         are identical to :meth:`full_refresh`.
         """
         self._require_placement()
+        self._require_evaluation()
         self.meter.charge("wirelength", self._sweep_units)
         if self.has_power:
             self.meter.charge("power", float(self.netlist.num_nets))
@@ -427,6 +434,7 @@ class CostEngine:
         incident nets changed since the last sweep re-evaluate.
         """
         self._require_placement()
+        self._require_evaluation()
         lengths = np.asarray(self.net_lengths)
         self._finish_refresh(lengths)
 
@@ -451,8 +459,11 @@ class CostEngine:
         # A rebind means the solution changed out from under the engine
         # (e.g. Type I ranks receiving a broadcast placement): every cached
         # goodness is potentially stale.  Mutations *through* the engine
-        # invalidate precisely instead (see ``_update_nets_of``).
+        # invalidate precisely instead (see ``_update_nets_of``).  It also
+        # ends a discarded evaluation: ``attach`` re-evaluates and
+        # ``attach_shared`` adopts one.
         self._placement = placement
+        self._discarded = False
         self._goodness_cache = [None] * self.netlist.num_cells
         self._net_branch = [None] * self.netlist.num_nets
         if self._soa is not None:
@@ -463,11 +474,38 @@ class CostEngine:
             raise RuntimeError("no placement attached; call attach() first")
         return self._placement
 
+    #: Set by :meth:`discard_evaluation`, cleared by a rebind or
+    #: :meth:`full_refresh` (a class default: construction does nothing).
+    _discarded = False
+
+    def discard_evaluation(self) -> None:
+        """Stop maintaining the evaluation until the next rebind.
+
+        For a caller that rebinds (``attach`` / ``attach_shared``) before
+        it reads any evaluation again: a Type II rank between selection
+        and the next broadcast.  Mutations still keep the placement and
+        the SoA mirror exact and charge the meter exactly as before —
+        ``Σ degree`` of the touched nets, plus the ``delay`` path counts,
+        for which the critical nets are still evaluated — but skip every
+        other net.  Until a rebind or :meth:`full_refresh`, every reader
+        of the evaluation raises rather than return a stale cache.
+        """
+        self._require_placement()
+        self._discarded = True
+
+    def _require_evaluation(self) -> None:
+        if self._discarded:
+            raise RuntimeError(
+                "evaluation discarded since discard_evaluation(); "
+                "rebind a placement with attach() first"
+            )
+
     # ------------------------------------------------------------------
     # solution-level queries
     # ------------------------------------------------------------------
     @property
     def delay_max(self) -> float:
+        self._require_evaluation()
         if not self.has_delay:
             return 0.0
         return float(self.path_delays.max())
@@ -475,6 +513,7 @@ class CostEngine:
     def costs(self) -> dict[str, float]:
         """Current objective costs (width reported alongside)."""
         p = self._require_placement()
+        self._require_evaluation()
         out = {"wirelength": self.wirelength_total, "width": p.max_row_width()}
         if self.has_power:
             out["power"] = self.power_total
@@ -484,6 +523,7 @@ class CostEngine:
 
     def memberships(self) -> dict[str, float]:
         """Fuzzy membership per enabled objective."""
+        self._require_evaluation()
         out = {
             "wirelength": membership(
                 self.wirelength_total,
@@ -518,6 +558,7 @@ class CostEngine:
         the cell's incident *critical* nets; cells not on any critical path
         get a delay ratio of 1 (nothing to improve).
         """
+        self._require_evaluation()
         self.meter.charge("goodness", 1.0)
         nets = self._cell_nets[cell]
         lengths = self.net_lengths
@@ -558,6 +599,7 @@ class CostEngine:
         the paper's algorithm performs, not the ones this implementation
         can skip.
         """
+        self._require_evaluation()
         g = self._goodness_cache[cell]
         if g is not None:
             self.meter.charge("goodness", 1.0)
@@ -657,6 +699,10 @@ class CostEngine:
         ``rows`` names the rows whose membership or packing changed, so
         the SoA mirror can invalidate just their cached insertion
         boundaries; ``None`` drops the whole row cache (conservative).
+
+        While the evaluation is discarded only the critical nets are
+        evaluated (see :meth:`discard_evaluation`); the charge, a sum of
+        integers, is bit-identical to the maintained path's.
         """
         p = self.placement
         cell_nets = self._cell_nets
@@ -679,17 +725,20 @@ class CostEngine:
             # exactly the coordinate-changed set (removed cells now NaN,
             # packed neighbours shifted).
             soa.update_cells(cells, x, y, rows)
-        units = 0.0
+        # One unit per net-pin: a sum of integers, exact in any order.
+        units = float(sum(map(degrees.__getitem__, nets)))
         wl_delta = 0.0
         pw_delta = 0.0
+        evaluated = nets
+        if self._discarded:
+            evaluated = nets & self.delay_model.critical_nets if has_delay else ()
         if moved is None:
             forced: set[int] = nets
         else:
             forced = set()
             for c in moved:
                 forced.update(cell_nets[c])
-        for j in nets:  # repro: noqa[D105] -- int-set order is deterministic in CPython (unsalted int hash) and this delta fold order is pinned bit-exact by BENCH_PR3; sorted() would change the bits
-            units += degrees[j]
+        for j in evaluated:  # repro: noqa[D105] -- int-set order is deterministic in CPython (unsalted int hash) and this delta fold order is pinned bit-exact by BENCH_PR3; sorted() would change the bits
             old = lengths[j]
             if j in forced:
                 new, br = eval_branch(j, x, y)
@@ -892,6 +941,7 @@ class CostEngine:
         Requires a complete placement (every movable cell placed).
         """
         p = self._require_placement()
+        self._require_evaluation()
         x = np.asarray(p.x)
         y = np.asarray(p.y)
         fresh = self.evaluator.full_sweep(x, y)

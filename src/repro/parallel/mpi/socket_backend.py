@@ -49,7 +49,10 @@ A routed star must *tell* ranks about departures:
   HELLO bearing the per-run session token — a rank's first connect and
   its reconnect after a dropped connection alike — and flushes the frames
   queued for the rank while it was away; any other connection is closed
-  and ignored.  An EOF makes the rank away again;
+  and ignored.  An EOF makes the rank away again.  A re-HELLO that
+  arrives before the router has read its rank's old connection's EOF is
+  parked and admitted at that EOF (closed if the rank retires first): the
+  rank already sends on it;
 * an away rank whose process has exited (SIGKILL, OOM, ``os._exit``),
   whether before its first HELLO or after a drop, makes the router
   terminate the survivors and raise
@@ -521,6 +524,7 @@ class SocketCluster:
         listener = socket.socket(family, socket.SOCK_STREAM)
         procs: list[Any] = []
         conns: dict[int, socket.socket] = {}
+        parked: dict[int, socket.socket] = {}
         sel = selectors.DefaultSelector()
         try:
             listener.bind(addr)
@@ -554,11 +558,11 @@ class SocketCluster:
                 procs.append(proc)
 
             statuses, lost = self._route(
-                sel, listener, conns, procs, deadline, token
+                sel, listener, conns, parked, procs, deadline, token
             )
             wall = time.perf_counter() - t0
         finally:
-            self._cleanup(sel, conns, listener, procs, tmpdir)
+            self._cleanup(sel, conns, parked, listener, procs, tmpdir)
 
         failures = [
             (r, st[1])
@@ -592,6 +596,7 @@ class SocketCluster:
         sel: selectors.BaseSelector,
         listener: socket.socket,
         conns: dict[int, socket.socket],
+        parked: dict[int, socket.socket],
         procs: list[Any],
         deadline: float | None,
         token: bytes,
@@ -602,13 +607,17 @@ class SocketCluster:
         under ``on_rank_failure="degrade"`` — the abort path raises on
         the first loss, exactly as before fault tolerance existed.
 
-        Every rank starts *away* (no connection).  One admission, ``admit``,
-        takes each HELLO on the listener — a rank's first connect and its
-        reconnect after a dropped connection alike — when it carries the
-        session token and names an away rank without a result; any other
-        connection is closed and ignored.  Frames for an away rank queue
-        here and are flushed on admission.  A connection EOF makes its
-        rank away again; an away rank whose process has exited is a death.
+        Every rank starts *away* (no connection).  ``accept`` judges each
+        HELLO on the listener — a rank's first connect and its reconnect
+        after a dropped connection alike.  One bearing the session token
+        for a rank without a result is admitted at once if the rank is
+        away; if the rank's old connection is still open here (its EOF not
+        yet read), the new one is ``parked`` and admitted at that EOF —
+        the rank has already moved on to it — or closed if the rank
+        retires first.  Any other connection is closed and ignored.
+        Frames for an away rank queue here and are flushed on admission.
+        A connection EOF makes its rank away again; an away rank whose
+        process has exited is a death.
         ``last_seen`` (set at admission and on every frame, beaten once
         when a connection drops) bounds an admitted rank's silence, and so
         its reconnect window, by the heartbeat timeout; before its first
@@ -652,6 +661,9 @@ class SocketCluster:
             pending.discard(rank)
             requeue.pop(rank, None)
             last_seen.pop(rank, None)
+            conn = parked.pop(rank, None)
+            if conn is not None:
+                conn.close()
 
         def lose(rank: int, reason: str) -> None:
             retire(rank)
@@ -670,9 +682,9 @@ class SocketCluster:
             sel.unregister(conn)
             conn.close()
 
-        def admit() -> bool:
-            """Take one connection off the listener and admit its rank if
-            the HELLO is good; False once the accept queue is empty."""
+        def accept() -> bool:
+            """Take one connection off the listener and admit (or park) its
+            rank if the HELLO is good; False once the accept queue is empty."""
             try:
                 conn, _peer = listener.accept()
             except OSError:  # BlockingIOError: nothing queued
@@ -683,16 +695,24 @@ class SocketCluster:
             except (EOFError, OSError):
                 conn.close()
                 return True
-            if (
-                kind != FRAME_HELLO
-                or payload != token
-                or src not in pending
-                or src in conns
-            ):
-                # Strays, bad tokens, connected ranks, or ranks finished or
-                # given up on: the router never admits them.
+            if kind != FRAME_HELLO or payload != token or src not in pending:
+                # Strays, bad tokens, or ranks finished or given up on: the
+                # router never admits them.
                 conn.close()
-                return True
+            elif src in conns:
+                # The rank re-dialed before its old connection's EOF got
+                # here; it already sends on the new one, so keep it for
+                # that EOF (a newer re-dial supersedes an older one).
+                stale = parked.pop(src, None)
+                if stale is not None:
+                    stale.close()
+                parked[src] = conn
+            else:
+                admit(src, conn)
+            return True
+
+        def admit(src: int, conn: socket.socket) -> None:
+            """Make ``conn`` the rank's connection and flush its queue."""
             conn.settimeout(None)
             if conn.family == socket.AF_INET:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -711,7 +731,6 @@ class SocketCluster:
             conns[src] = conn
             sel.register(conn, selectors.EVENT_READ, src)
             last_seen[src] = time.perf_counter()
-            return True
 
         while pending:
             now = time.perf_counter()
@@ -747,7 +766,9 @@ class SocketCluster:
                     kind, _src, dest, tag, payload = recv_frame(key.fileobj)
                 except (EOFError, OSError):
                     drop_conn(rank)
-                    if rank in pending:
+                    if rank in parked:
+                        admit(rank, parked.pop(rank))
+                    elif rank in pending:
                         # The rank is away until it re-HELLOs (or is found
                         # dead below).  One beat now makes the heartbeat
                         # timeout the reconnect budget.
@@ -787,10 +808,10 @@ class SocketCluster:
                 if procs[r].exitcode is not None
             ]
             if exited:
-                while admit():
+                while accept():
                     pass
             elif accepting:
-                admit()
+                accept()
             for r in exited:
                 if r not in conns:
                     procs[r].join(timeout=_REAP_JOIN_SECONDS)
@@ -803,6 +824,7 @@ class SocketCluster:
         self,
         sel: selectors.BaseSelector,
         conns: dict[int, socket.socket],
+        parked: dict[int, socket.socket],
         listener: socket.socket,
         procs: list[Any],
         tmpdir: str | None,
@@ -820,12 +842,13 @@ class SocketCluster:
                 proc.kill()
                 proc.join()
         sel.close()
-        for conn in conns.values():
+        for conn in [*conns.values(), *parked.values()]:
             try:
                 conn.close()
             except OSError:  # pragma: no cover - double close is harmless
                 pass
         conns.clear()
+        parked.clear()
         try:
             listener.close()
         except OSError:  # pragma: no cover

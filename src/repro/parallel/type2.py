@@ -142,6 +142,11 @@ def _spmd(
             goodness, rng, bias=spec.bias, adaptive=spec.adaptive_bias,
             meter=engine.meter,
         )
+        # Nothing reads this rank's evaluation again before the next
+        # rebind (the master re-attaches the merge, the slaves the next
+        # broadcast), so allocation's commits only charge what the
+        # model counts instead of maintaining caches that are thrown away.
+        engine.discard_evaluation()
         allocator.allocate(selected, goodness, allowed_rows=my_rows)
 
         gathered = comm.gather({r: placement.rows[r] for r in my_rows}, root=0)

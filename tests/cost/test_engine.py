@@ -205,33 +205,130 @@ def test_hpwl_estimator_option(small_netlist):
     assert e2.wirelength_total <= e1.wirelength_total + 1e-9
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**31), n_ops=st.integers(1, 15))
-def test_property_incremental_always_consistent(small_netlist, seed, n_ops):
-    """Property: arbitrary mutation sequences keep caches exact."""
-    grid = RowGrid.for_netlist(small_netlist, num_rows=5)
-    engine = CostEngine(
-        small_netlist, grid, objectives=("wirelength", "power", "delay"),
+def _wpd_engine(netlist, grid):
+    return CostEngine(
+        netlist, grid, objectives=("wirelength", "power", "delay"),
         critical_paths=8,
     )
-    engine.attach(random_placement(grid, RngStream(seed)))
-    rng = RngStream(seed + 1)
-    cells = [c.index for c in small_netlist.movable_cells()]
+
+
+def _random_ops(rng, cells, num_rows, n_ops):
+    """``n_ops`` random mutations, each a tuple of engine calls that
+    leaves the placement complete."""
+    ops = []
     for _ in range(n_ops):
         op = rng.randint(0, 3)
         if op == 0:
-            engine.move_cell(
-                cells[rng.randint(0, len(cells))],
-                rng.randint(0, grid.num_rows),
-                rng.randint(0, 25),
-            )
+            cell = cells[rng.randint(0, len(cells))]
+            ops.append((("move_cell", (cell, rng.randint(0, num_rows),
+                                       rng.randint(0, 25))),))
         elif op == 1:
             a = cells[rng.randint(0, len(cells))]
             b = cells[rng.randint(0, len(cells))]
             if a != b:
-                engine.swap_cells(a, b)
+                ops.append((("swap_cells", (a, b)),))
         else:
             c = cells[rng.randint(0, len(cells))]
-            engine.remove_cell(c)
-            engine.insert_cell(c, rng.randint(0, grid.num_rows), 0)
+            ops.append((("remove_cell", (c,)),
+                        ("insert_cell", (c, rng.randint(0, num_rows), 0))))
+    return ops
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**31), n_ops=st.integers(1, 15))
+def test_property_incremental_always_consistent(small_netlist, seed, n_ops):
+    """Property: after every mutation the maintained per-net lengths are a
+    fresh sweep bit for bit, and a twin whose evaluation is discarded
+    charges the meter exactly the same, keeps its SoA mirror in sync, and
+    holds the same state once both re-attach."""
+    grid = RowGrid.for_netlist(small_netlist, num_rows=5)
+    engine = _wpd_engine(small_netlist, grid)
+    twin = _wpd_engine(small_netlist, grid)
+    placement = random_placement(grid, RngStream(seed))
+    engine.attach(placement)
+    twin.attach(placement.copy())
+    twin.soa_state().ensure_fresh(twin.placement)
+    twin.discard_evaluation()
+    cells = [c.index for c in small_netlist.movable_cells()]
+    for op in _random_ops(RngStream(seed + 1), cells, grid.num_rows, n_ops):
+        for e in (engine, twin):
+            for name, args in op:
+                getattr(e, name)(*args)
+        p = engine.placement
+        fresh = engine.evaluator.full_sweep(np.asarray(p.x), np.asarray(p.y))
+        assert np.array_equal(_bits(fresh), _bits(engine.net_lengths))
+        assert twin.meter.units == engine.meter.units
+        assert twin.placement.to_rows() == p.to_rows()
     engine.assert_consistent()
+    soa, n = twin.soa_state(), small_netlist.num_cells
+    assert np.array_equal(soa.x[:n], np.asarray(twin.placement.x), equal_nan=True)
+    assert np.array_equal(soa.y[:n], np.asarray(twin.placement.y), equal_nan=True)
+
+    engine.attach(engine.placement)
+    twin.attach(twin.placement)
+    mine, theirs = engine.share_state(), twin.share_state()
+    assert mine[:4] == theirs[:4]
+    assert np.array_equal(_bits(mine[4]), _bits(theirs[4]))
+    assert [twin.cell_goodness(c) for c in cells] == [
+        engine.cell_goodness(c) for c in cells
+    ]
+    assert twin.mu() == engine.mu()
+    assert twin.meter.units == engine.meter.units
+
+
+#: Every reader of the evaluation, each of which must refuse to run while
+#: it is discarded.
+EVALUATION_READERS = {
+    "cell_goodness": lambda e, c: e.cell_goodness(c),
+    "cell_objective_ratios": lambda e, c: e.cell_objective_ratios(c),
+    "costs": lambda e, c: e.costs(),
+    "memberships": lambda e, c: e.memberships(),
+    "mu": lambda e, c: e.mu(),
+    "delay_max": lambda e, c: e.delay_max,
+    "refresh_totals": lambda e, c: e.refresh_totals(),
+    "charge_refresh": lambda e, c: e.charge_refresh(),
+    "share_state": lambda e, c: e.share_state(),
+    "assert_consistent": lambda e, c: e.assert_consistent(),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(EVALUATION_READERS))
+def test_discarded_evaluation_readers_raise(small_problem, reader):
+    _, engine, placement = small_problem
+    read = EVALUATION_READERS[reader]
+    cell = placement.rows[0][0]
+    engine.discard_evaluation()
+    engine.move_cell(cell, 1, 0)
+    with pytest.raises(RuntimeError, match="discarded"):
+        read(engine, cell)
+    engine.attach(placement)
+    read(engine, cell)
+
+
+@pytest.mark.parametrize("exit_", ["attach", "attach_shared", "full_refresh"])
+def test_discarded_evaluation_ends_at_rebind_or_full_refresh(
+    small_problem, exit_
+):
+    grid, engine, placement = small_problem
+    state = engine.share_state()
+    snapshot = placement.copy()
+    engine.discard_evaluation()
+    engine.swap_cells(placement.rows[0][0], placement.rows[1][0])
+    if exit_ == "attach":
+        engine.attach(placement)
+    elif exit_ == "attach_shared":
+        engine.attach_shared(snapshot, state)
+    else:
+        engine.full_refresh()
+    engine.assert_consistent()
+    assert 0.0 <= engine.mu() <= 1.0
+
+
+def test_discard_evaluation_requires_attachment(small_netlist):
+    engine = CostEngine(small_netlist, RowGrid.for_netlist(small_netlist))
+    with pytest.raises(RuntimeError, match="attach"):
+        engine.discard_evaluation()

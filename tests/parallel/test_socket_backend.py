@@ -260,6 +260,44 @@ def test_disconnect_around_admission_reconnects(at):
         assert faulted.results == clean.results
 
 
+def _redial_then_pingpong(comm):
+    # Rank 1 gives up on a connection the router still holds (as after a
+    # drop the router has not noticed) and speaks first on the new one.
+    if comm.rank == 1:
+        comm._reconnect(comm._sock)
+        comm.send("hi", 0, tag=3)
+    elif comm.rank == 0:
+        assert comm.recv(1, tag=3)[1] == "hi"
+    return _pingpong(comm)
+
+
+@needs_fork
+def test_redial_before_old_connection_closes_is_parked(monkeypatch):
+    """Rank 1's re-dial reaches the router while its old connection is
+    still open there: the router must keep the new connection until the
+    old one's EOF and then admit it, not close it — over TCP the rank's
+    first frame on a closed connection vanishes without an error, so the
+    run would wait out its deadline."""
+    dial = socket_backend._dial
+
+    def slow_dial(family, address, rank, token):
+        sock = dial(family, address, rank, token)
+        if rank == 1:
+            # ``_reconnect`` closes the old connection only after the dial
+            # returns: hold it open while the router reads the HELLO.
+            time.sleep(0.5)
+        return sock
+
+    clean = SocketCluster(3, timeout=60).run(_pingpong)
+    monkeypatch.setattr(socket_backend, "_dial", slow_dial)
+    t0 = time.perf_counter()
+    redialed = SocketCluster(
+        3, timeout=30, start_method="fork", address=("127.0.0.1", 0),
+    ).run(_redial_then_pingpong)
+    assert redialed.results == clean.results
+    assert time.perf_counter() - t0 < 15
+
+
 # ------------------------------------------------------ topology and bounds
 
 
