@@ -22,12 +22,11 @@ def main() -> None:
     for cell in cells:
         print(f"  {cell.cell_id}")
 
-    # Cells are pure functions of their spec, so the process pool returns
-    # exactly what serial execution would — just faster.
+    # Cells are pure functions of their spec, so the process pool (implied
+    # by workers=) returns exactly what serial execution would — just faster.
     records = run_sweep(
         cells,
         workers=4,
-        processes=True,
         progress=lambda i, n, r: print(f"  [{i}/{n}] {r.cell_id}"),
     )
 

@@ -9,11 +9,12 @@ Subcommands
     the outcome; ``--out`` also writes a JSON/CSV artifact.
 ``repro sweep``
     Run a named scenario or an open-ended ``circuit × strategy × p ×
-    pattern`` grid through a sweep backend (``serial`` / ``process`` /
-    ``chunked``), writing artifacts.  ``--shard i/N`` runs one
-    deterministic slice of the grid (CI/cluster fan-out); ``--resume``
-    replays completed cells from the on-disk cell cache and re-runs only
-    the missing or failed ones.
+    pattern`` grid in-process (``--backend serial``, the default) or as
+    chunks of cells over a process pool (``--backend chunked``, implied
+    by ``--workers``/``--chunk-size``), writing artifacts.  ``--shard
+    i/N`` runs one deterministic slice of the grid (CI/cluster fan-out);
+    ``--resume`` replays completed cells from the on-disk cell cache and
+    re-runs only the missing or failed ones.
 ``repro tables``
     Reproduce a paper table (``--table N``) or any registered scenario
     (``--scenario NAME``) end to end: resolve, sweep, save the artifact
@@ -73,7 +74,7 @@ from repro.experiments.registry import (
 )
 from repro.parallel.partition import ROW_PATTERNS
 from repro.experiments.sweeps import (
-    BACKENDS,
+    SWEEP_BACKENDS,
     parse_shard,
     run_cell,
     run_sweep,
@@ -225,14 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--smoke", action="store_true",
                          help="tiny budgets/circuits (CI); default scenario: smoke")
     p_sweep.add_argument("--workers", type=_positive_int, default=None,
-                         help="process-pool size (implies --backend process)")
-    p_sweep.add_argument("--processes", action="store_true",
-                         help="fan cells out over a process pool")
-    p_sweep.add_argument("--backend", default=None, choices=sorted(BACKENDS),
+                         help="process-pool size (implies --backend chunked)")
+    p_sweep.add_argument("--backend", default=None, choices=SWEEP_BACKENDS,
                          help="execution backend (default: serial, or "
-                              "process when --processes/--workers given)")
+                              "chunked when --workers/--chunk-size given)")
     p_sweep.add_argument("--chunk-size", type=_positive_int, default=None,
-                         help="cells per pool task for --backend chunked")
+                         help="cells per pool task (implies --backend "
+                              "chunked)")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
                          help="run only deterministic shard I of N "
                               "(1-based); shards merge via --resume")
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--scale", type=_positive_int, default=100)
     p_tables.add_argument("--smoke", action="store_true",
                           help="one cheap circuit, minimal iterations")
-    p_tables.add_argument("--workers", type=_positive_int, default=None)
-    p_tables.add_argument("--processes", action="store_true")
+    p_tables.add_argument("--workers", type=_positive_int, default=None,
+                          help="process-pool size (default: in-process)")
     p_tables.add_argument("--out", default="artifacts")
     p_tables.set_defaults(func=cmd_tables)
 
@@ -594,16 +594,19 @@ def _execute_sweep(
     shard_note = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
     print(f"{banner}: {len(cells)} cells"
           + (" (smoke)" if args.smoke else "") + shard_note)
-    records = run_sweep(
-        cells,
-        workers=args.workers,
-        processes=args.processes or args.workers is not None,
-        progress=_progress,
-        backend=getattr(args, "backend", None),
-        chunk_size=getattr(args, "chunk_size", None),
-        cache=cache,
-        max_retries=args.max_retries,
-    )
+    try:
+        records = run_sweep(
+            cells,
+            workers=args.workers,
+            progress=_progress,
+            backend=getattr(args, "backend", None),
+            chunk_size=getattr(args, "chunk_size", None),
+            cache=cache,
+            max_retries=args.max_retries,
+        )
+    except ValueError as exc:  # a conflicting backend/pool flag pair
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     store = ArtifactStore(args.out)
     meta = {
         "scenario": scenario.name,

@@ -37,12 +37,7 @@ from repro.experiments.registry import (
     scaled_iterations,
 )
 from repro.experiments.sweeps import (
-    BACKENDS,
-    ChunkedBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepBackend,
-    make_backend,
+    SWEEP_BACKENDS,
     parse_shard,
     run_cell,
     run_sweep,
@@ -67,12 +62,7 @@ __all__ = [
     "list_scenarios",
     "resolve",
     "scaled_iterations",
-    "BACKENDS",
-    "ChunkedBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "SweepBackend",
-    "make_backend",
+    "SWEEP_BACKENDS",
     "parse_shard",
     "run_cell",
     "run_sweep",

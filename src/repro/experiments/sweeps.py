@@ -1,17 +1,17 @@
-"""Pluggable sweep execution: backends, shards, and the resume cache.
+"""Sweep execution: one loop, shards, and the resume cache.
 
 Takes the :class:`~repro.experiments.registry.SweepCell` lists the registry
-resolves and runs them through a :class:`SweepBackend`:
-
-* :class:`SerialBackend` — in-process, one cell at a time;
-* :class:`ChunkedBackend` — cells batched into contiguous chunks, one
-  chunk per :class:`ProcessPoolExecutor` task.  Cells of one scenario
-  arrive grouped by circuit (the registry's resolution order), so a
-  chunk's cells share the worker process's single-flight
-  circuit/grid/initial-placement caches — the per-process setup that
-  dominates small cells is paid once per chunk instead of once per cell;
-* :class:`ProcessPoolBackend` — the chunked backend at chunk size 1:
-  one cell per pool task (maximal fan-out, per-cell setup cost).
+resolves and runs them through :func:`run_sweep`: cache look-ups first,
+then one completion loop over contiguous chunks of the pending cells.
+The loop runs each chunk in-process (``backend="serial"``, one cell per
+chunk) or as one task of a :class:`ProcessPoolExecutor`
+(``backend="chunked"``, the default once ``workers`` or ``chunk_size``
+is given).  Cells of one scenario arrive grouped by circuit (the
+registry's resolution order), so a chunk's cells share the worker
+process's single-flight circuit/grid/initial-placement caches — the
+per-process setup that dominates small cells is paid once per chunk
+instead of once per cell.  Pool workers die with the driver (Linux): a
+killed sweep leaves no orphans.
 
 A cell runs as one lookup in the registry's strategy table:
 ``get_strategy(cell.strategy).run(cell.spec, **params)``.  Each cell is a
@@ -38,11 +38,16 @@ submission and the failure, not zero.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Callable, Protocol, Sequence
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, Sequence
 
 from repro.experiments.artifacts import CellCache, RunRecord
 from repro.experiments.registry import SweepCell, get_strategy
@@ -57,18 +62,20 @@ __all__ = [
     "DEFAULT_BACKOFF_BASE",
     "TRANSIENT_EXCEPTIONS",
     "ProgressFn",
-    "SweepBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "ChunkedBackend",
-    "BACKENDS",
-    "make_backend",
+    "SWEEP_BACKENDS",
     "parse_shard",
     "shard_cells",
 ]
 
 #: Called after each cell completes: ``progress(done, total, record)``.
 ProgressFn = Callable[[int, int, RunRecord], None]
+
+#: The ``backend`` names :func:`run_sweep` accepts.
+SWEEP_BACKENDS = ("serial", "chunked")
+
+#: Target pool tasks per worker when ``chunk_size`` is unset — enough
+#: slack for load balancing without giving up the per-chunk amortization.
+_OVERSUBSCRIBE = 4
 
 #: Exception types retrying can plausibly fix: rank deaths, wedges and
 #: dropped connections (:class:`CommError` covers all injected faults),
@@ -210,157 +217,43 @@ def run_cell(
 def _run_chunk(
     cells: list[SweepCell], max_retries: int = 0
 ) -> list[RunRecord]:
-    """Worker-side body of :class:`ChunkedBackend`: one pool task, n cells."""
+    """One completion of :func:`run_sweep`: a chunk of cells, in order."""
     return [run_cell(cell, max_retries=max_retries) for cell in cells]
 
 
-# ---------------------------------------------------------------------------
-# Backends
-# ---------------------------------------------------------------------------
+def _exit_with_driver(driver_pid: int) -> None:
+    """Pool-worker initializer: on Linux, die when the sweep driver dies.
 
-
-class SweepBackend(Protocol):
-    """Executes a cell list into records, preserving input order.
-
-    Implementations must return one record per input cell, in input order,
-    with every field except ``wall_seconds`` identical to what
-    :class:`SerialBackend` would produce, and must fire ``progress`` once
-    per completed cell (completion order is theirs to choose).
+    ``PR_SET_PDEATHSIG`` has the kernel SIGKILL this worker when its
+    parent exits, so a killed driver cannot leave workers blocked on the
+    call queue forever.  A driver that died before the ``prctl`` took
+    effect has already re-parented the worker; ``getppid`` shows that.
+    Starts no thread: socket cells fork their ranks inside the worker.
     """
+    if sys.platform != "linux":
+        return
+    import ctypes
 
-    name: str
-
-    def run(
-        self, cells: Sequence[SweepCell], progress: ProgressFn | None = None
-    ) -> list[RunRecord]:
-        ...
-
-
-class SerialBackend:
-    """In-process execution, cells in order — the reference backend."""
-
-    name = "serial"
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        max_retries: int = 0,
-    ):
-        self.max_retries = max_retries
-
-    def run(
-        self, cells: Sequence[SweepCell], progress: ProgressFn | None = None
-    ) -> list[RunRecord]:
-        records = []
-        for i, cell in enumerate(cells):
-            record = run_cell(cell, max_retries=self.max_retries)
-            records.append(record)
-            if progress:
-                progress(i + 1, len(cells), record)
-        return records
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    # A failing prctl leaves the worker as it was: working, unguarded.
+    prctl(1, signal.SIGKILL)  # 1 == PR_SET_PDEATHSIG
+    if os.getppid() != driver_pid:
+        os._exit(1)
 
 
-class ChunkedBackend:
-    """Contiguous chunks of cells per pool task (amortized worker setup)."""
+def _pool(workers: int | None) -> ProcessPoolExecutor:
+    """The sweep's process pool, whose workers die with the driver.
 
-    name = "chunked"
-
-    #: Target tasks per worker when ``chunk_size`` is unset — enough slack
-    #: for load balancing without giving up the amortization.
-    OVERSUBSCRIBE = 4
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        max_retries: int = 0,
-    ):
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.max_retries = max_retries
-
-    def _resolve_chunk_size(self, n_cells: int) -> int:
-        if self.chunk_size is not None:
-            if self.chunk_size < 1:
-                raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-            return self.chunk_size
-        workers = self.workers or os.cpu_count() or 1
-        return max(1, -(-n_cells // (workers * self.OVERSUBSCRIBE)))
-
-    def run(
-        self, cells: Sequence[SweepCell], progress: ProgressFn | None = None
-    ) -> list[RunRecord]:
-        total = len(cells)
-        if not total:
-            return []
-        size = self._resolve_chunk_size(total)
-        chunks = [list(cells[i:i + size]) for i in range(0, total, size)]
-        starts = [i * size for i in range(len(chunks))]
-        slots: list[RunRecord | None] = [None] * total
-        done = 0
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            last_event = time.perf_counter()
-            futures = {
-                pool.submit(_run_chunk, chunk, self.max_retries): k
-                for k, chunk in enumerate(chunks)
-            }
-            # Report completions as they happen (a slow head chunk must
-            # not make the whole sweep look hung) while keeping order.
-            for future in as_completed(futures):
-                k = futures[future]
-                now = time.perf_counter()
-                try:
-                    records = future.result()
-                except Exception as exc:  # noqa: BLE001 - e.g. broken pool
-                    # Charge the wall time observed since the previous pool
-                    # event (0.0 would undercount the failure; time since
-                    # pool start would charge a late one the whole sweep),
-                    # split evenly over the chunk's cells, not duplicated.
-                    elapsed = (now - last_event) / max(1, len(chunks[k]))
-                    records = [
-                        _failure_record(c, f"{type(exc).__name__}: {exc}", elapsed)
-                        for c in chunks[k]
-                    ]
-                last_event = now
-                for j, record in enumerate(records):
-                    slots[starts[k] + j] = record
-                    done += 1
-                    if progress:
-                        progress(done, total, record)
-        return [r for r in slots if r is not None]
-
-
-class ProcessPoolBackend(ChunkedBackend):
-    """The chunked backend pinned to chunk size 1: one pool task per cell."""
-
-    name = "process"
-
-    def _resolve_chunk_size(self, n_cells: int) -> int:
-        return 1
-
-
-BACKENDS: dict[str, type] = {
-    "serial": SerialBackend,
-    "process": ProcessPoolBackend,
-    "chunked": ChunkedBackend,
-}
-
-
-def make_backend(
-    name: str,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    max_retries: int = 0,
-) -> SweepBackend:
-    """Instantiate a named backend (``serial`` / ``process`` / ``chunked``)."""
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {sorted(BACKENDS)}"
-        ) from None
-    return cls(workers=workers, chunk_size=chunk_size, max_retries=max_retries)
+    On Linux the workers are forked: they must be the driver's own
+    children (not a forkserver's) for the parent-death signal to track it.
+    """
+    context = multiprocessing.get_context(
+        "fork" if sys.platform == "linux" else None)
+    return ProcessPoolExecutor(
+        workers, mp_context=context,
+        initializer=_exit_with_driver, initargs=(os.getpid(),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,83 +295,99 @@ def shard_cells(
 def run_sweep(
     cells: Sequence[SweepCell],
     workers: int | None = None,
-    processes: bool = False,
     progress: ProgressFn | None = None,
-    backend: str | SweepBackend | None = None,
+    backend: str | None = None,
     chunk_size: int | None = None,
     cache: CellCache | None = None,
     max_retries: int = 0,
 ) -> list[RunRecord]:
     """Run every cell; return records in the input order.
 
-    ``backend`` selects the execution engine by name or instance; when
-    unset, ``processes=True`` (or a ``workers`` count) picks the process
-    pool and plain calls stay serial — the pre-backend API unchanged.
-    Every field except the host-dependent ``wall_seconds`` is identical
-    across backends (compare via :meth:`RunRecord.canonical`).
+    ``backend="chunked"`` runs contiguous chunks of cells as tasks of one
+    process pool of ``workers`` (default: the CPU count); ``chunk_size``
+    defaults to enough chunks for about four tasks per worker.  Unset,
+    ``backend`` means ``"chunked"`` when ``workers`` or ``chunk_size`` is
+    given and ``"serial"`` (in-process, one cell at a time) otherwise.
+    ``"serial"`` with ``workers`` or ``chunk_size``, or any other name,
+    is a :class:`ValueError`.  Every field except the host-dependent
+    ``wall_seconds`` is identical across backends (compare via
+    :meth:`RunRecord.canonical`).
 
     ``cache`` short-circuits cells whose results it already holds (their
     records count toward ``progress`` immediately) and files every fresh
-    successful record, which is all ``repro sweep --resume`` is.
-    ``progress`` fires once per cell; completion order is the backend's.
-    ``max_retries`` re-runs transiently failed cells (see
-    :func:`run_cell`); it applies when ``backend`` is a name — an
-    instance carries its own retry budget.
+    successful record as it completes, which is all ``repro sweep
+    --resume`` is: an interrupted sweep leaves every finished cell on
+    disk.  No pool starts when every cell is a hit.  ``progress`` fires
+    once per cell, in completion order.  ``max_retries`` re-runs
+    transiently failed cells (see :func:`run_cell`).
     """
-    if backend is None:
-        backend = "process" if (processes or workers is not None) else "serial"
-    if isinstance(backend, str):
-        backend = make_backend(
-            backend, workers=workers, chunk_size=chunk_size,
-            max_retries=max_retries,
+    if backend not in (None, *SWEEP_BACKENDS):
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {list(SWEEP_BACKENDS)}"
         )
-
-    if cache is None:
-        return backend.run(cells, progress)
+    sized = workers is not None or chunk_size is not None
+    if backend == "serial" and sized:
+        raise ValueError(
+            "backend 'serial' runs in-process: workers and chunk_size "
+            "need backend 'chunked'"
+        )
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    pooled = backend == "chunked" or sized
 
     total = len(cells)
     slots: list[RunRecord | None] = [None] * total
-    pending: list[SweepCell] = []
-    pending_idx: list[int] = []
+    pending: list[int] = []
     done = 0
     for i, cell in enumerate(cells):
-        hit = cache.get(cell)
-        if hit is not None:
-            slots[i] = hit
-            done += 1
-            if progress:
-                progress(done, total, hit)
+        hit = cache.get(cell) if cache is not None else None
+        if hit is None:
+            pending.append(i)
+            continue
+        slots[i] = hit
+        done += 1
+        if progress:
+            progress(done, total, hit)
+
+    size = 1
+    if pooled:
+        tasks = (workers or os.cpu_count() or 1) * _OVERSUBSCRIBE
+        size = chunk_size or max(1, -(-len(pending) // tasks))
+    chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
+    with (_pool(workers) if pooled and chunks else nullcontext()) as pool:
+        last_event = time.perf_counter()
+        if pool is None:
+            finished = (
+                (chunk, partial(_run_chunk, [cells[i] for i in chunk], max_retries))
+                for chunk in chunks
+            )
         else:
-            pending.append(cell)
-            pending_idx.append(i)
-
-    if pending:
-        # Cache cells as they complete, not after the whole run: an
-        # interrupted sweep must leave everything it finished on disk for
-        # --resume.  Completion hands us records, not cells, so pair them
-        # by cell_id — unless ids collide (possible for hand-built lists;
-        # never for registry output), in which case defer to the
-        # positional pairing after the run.
-        by_id: dict[str, SweepCell] = {}
-        ids_unique = True
-        for cell in pending:
-            if cell.cell_id in by_id:
-                ids_unique = False
-            by_id[cell.cell_id] = cell
-
-        def _shifted(_done: int, _total: int, record: RunRecord) -> None:
-            nonlocal done
-            done += 1
-            if ids_unique:
-                cell = by_id.get(record.cell_id)
-                if cell is not None:
-                    cache.put(cell, record)
-            if progress:
-                progress(done, total, record)
-
-        fresh = backend.run(pending, _shifted)
-        for i, cell, record in zip(pending_idx, pending, fresh):
-            if not ids_unique:
-                cache.put(cell, record)
-            slots[i] = record
+            futures = {
+                pool.submit(_run_chunk, [cells[i] for i in chunk], max_retries): chunk
+                for chunk in chunks
+            }
+            # Take completions as they happen (a slow head chunk must not
+            # make the whole sweep look hung); the slots keep the order.
+            finished = ((futures[f], f.result) for f in as_completed(futures))
+        for chunk, result in finished:
+            try:
+                records = result()
+            except Exception as exc:  # noqa: BLE001 - e.g. a broken pool
+                # Charge the wall time observed since the previous event
+                # (0.0 would undercount the failure; time since the start
+                # would charge a late one the whole sweep), split evenly
+                # over the chunk's cells, not duplicated.
+                elapsed = (time.perf_counter() - last_event) / len(chunk)
+                records = [
+                    _failure_record(cells[i], f"{type(exc).__name__}: {exc}", elapsed)
+                    for i in chunk
+                ]
+            last_event = time.perf_counter()
+            for i, record in zip(chunk, records):
+                slots[i] = record
+                if cache is not None:
+                    cache.put(cells[i], record)
+                done += 1
+                if progress:
+                    progress(done, total, record)
     return [r for r in slots if r is not None]

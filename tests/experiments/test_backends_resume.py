@@ -1,12 +1,16 @@
-"""Sweep backends, sharding, and the resume cell cache.
+"""The sweep loop, sharding, and the resume cell cache.
 
 The contracts pinned here are what make `repro sweep --shard i/N` and
 `--resume` safe:
 
-* every backend produces canonically identical records;
+* serial and pooled runs at any chunk size produce canonically
+  identical records;
+* the pool is chosen and sized by ``backend``/``workers``/``chunk_size``
+  exactly as documented, and conflicting settings are refused;
 * shards are disjoint, covering, and deterministic;
 * cache hits are bit-identical (modulo wall_seconds) to fresh runs;
-* resume re-runs only missing/failed cells;
+* resume re-runs only missing/failed cells, and every completed cell is
+  cached as it completes;
 * pool-level failures exit through failure records that carry observed
   wall time, never zero.
 """
@@ -15,13 +19,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.experiments.sweeps as sweeps_mod
 from repro.experiments.artifacts import CellCache, cell_key, version_key
 from repro.experiments.registry import SweepCell, base_spec, resolve
 from repro.experiments.sweeps import (
-    ChunkedBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    make_backend,
     parse_shard,
     run_sweep,
     shard_cells,
@@ -42,53 +43,131 @@ def _cells(n_extra_seeds: int = 0) -> list[SweepCell]:
     return cells
 
 
+def _submitted_chunk_sizes(monkeypatch) -> list[int]:
+    """Record the cell count of every task the sweep submits to its pool."""
+    sizes: list[int] = []
+    real_pool = sweeps_mod._pool
+
+    def counting_pool(workers):
+        pool = real_pool(workers)
+        real_submit = pool.submit
+
+        def submit(fn, chunk, *args):
+            sizes.append(len(chunk))
+            return real_submit(fn, chunk, *args)
+
+        pool.submit = submit
+        return pool
+
+    monkeypatch.setattr(sweeps_mod, "_pool", counting_pool)
+    return sizes
+
+
 # ---------------------------------------------------------------------------
-# Backends
+# The sweep loop: backend selection, chunking, progress, failures
 # ---------------------------------------------------------------------------
 
 
 def test_all_backends_agree_canonically():
     cells = _cells(1)
-    serial = SerialBackend().run(cells)
-    pooled = ProcessPoolBackend(workers=2).run(cells)
-    chunked = ChunkedBackend(workers=2, chunk_size=3).run(cells)
-    want = [r.canonical() for r in serial]
-    assert [r.canonical() for r in pooled] == want
-    assert [r.canonical() for r in chunked] == want
+    want = [r.canonical() for r in run_sweep(cells)]
+    for chunk_size in (1, 3):
+        pooled = run_sweep(cells, workers=2, chunk_size=chunk_size)
+        assert [r.canonical() for r in pooled] == want
 
 
-def test_make_backend_names_and_unknown():
-    assert make_backend("serial").name == "serial"
-    assert make_backend("process", workers=2).name == "process"
-    assert make_backend("chunked", chunk_size=4).name == "chunked"
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("gpu")
+def test_backend_names_and_unknown():
+    cells = _cells()[:1]
+    assert run_sweep(cells, backend="serial")[0].ok
+    assert run_sweep(cells, backend="chunked", chunk_size=4)[0].ok
+    # "process" was the chunked pool pinned to chunk size 1; it is gone.
+    for name in ("gpu", "process"):
+        with pytest.raises(ValueError, match="expected one of .*serial.*chunked"):
+            run_sweep(cells, backend=name)
+    # An explicit in-process run cannot also be sized as a pool.
+    for kwargs in ({"workers": 2}, {"chunk_size": 2}):
+        with pytest.raises(ValueError, match="serial"):
+            run_sweep(cells, backend="serial", **kwargs)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--backend", "serial", "--workers", "2"],
+    ["--backend", "serial", "--chunk-size", "2"],
+    ["--backend", "process"],
+    ["--processes"],
+], ids=["serial-workers", "serial-chunk-size", "process", "processes"])
+def test_folded_or_conflicting_pool_flags_are_usage_errors(
+    flags, tmp_path, capsys,
+):
+    from repro.cli import main
+
+    argv = ["sweep", "--smoke", "--out", str(tmp_path), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags and choices
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no cell ran, nothing written
 
 
 def test_run_sweep_backend_selection_compatible():
     cells = _cells()
-    # The pre-backend API: processes=False is serial, backend overrides.
     a = run_sweep(cells)
     b = run_sweep(cells, backend="chunked", workers=2, chunk_size=2)
     assert [r.canonical() for r in a] == [r.canonical() for r in b]
 
 
+def test_chunk_size_sets_the_pool_task_size(monkeypatch):
+    sizes = _submitted_chunk_sizes(monkeypatch)
+    cells = _cells(2)  # 6 cells
+    run_sweep(cells[:2])
+    assert sizes == []  # plain calls stay in-process
+    run_sweep(cells[:2], chunk_size=2)
+    assert sizes == [2]  # chunk_size alone implies the pool
+    # --workers 2 --chunk-size 3 used to run one cell per task.
+    sizes.clear()
+    records = run_sweep(cells, workers=2, chunk_size=3)
+    assert sizes == [3, 3]
+    assert [r.cell_id for r in records] == [c.cell_id for c in cells]
+    # Unset, the size gives about four tasks per worker: ceil(6 / 8) = 1.
+    sizes.clear()
+    run_sweep(cells, workers=2)
+    assert sizes == [1] * 6
+
+
+def test_chunks_cover_only_the_cache_misses(tmp_path, monkeypatch):
+    cells = _cells(2)  # 6 cells
+    cache = CellCache(tmp_path)
+    run_sweep(cells[:2], cache=cache)
+    sizes = _submitted_chunk_sizes(monkeypatch)
+    resumed = run_sweep(cells, workers=1, cache=cache)
+    assert sizes == [1] * 4  # ceil(4 pending / 4) = 1 cell per task
+    assert [r.cell_id for r in resumed] == [c.cell_id for c in cells]
+    sizes.clear()
+    run_sweep(cells, workers=1, cache=cache)
+    assert sizes == []  # all hits: no pool starts
+
+
 def test_chunked_backend_chunk_size_validation():
-    with pytest.raises(ValueError, match="chunk_size"):
-        ChunkedBackend(chunk_size=0).run(_cells())
+    for kwargs in ({"chunk_size": 0}, {"backend": "chunked", "chunk_size": 0}):
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_sweep(_cells(), **kwargs)
 
 
-def test_chunked_backend_preserves_order_with_ragged_chunks():
+def test_chunked_backend_preserves_order_with_ragged_chunks(monkeypatch):
+    sizes = _submitted_chunk_sizes(monkeypatch)
     cells = _cells(2)  # 6 cells, chunk_size 4 -> chunks of 4 and 2
-    records = ChunkedBackend(workers=2, chunk_size=4).run(cells)
+    records = run_sweep(cells, workers=2, chunk_size=4)
+    assert sorted(sizes) == [2, 4]
     assert [r.cell_id for r in records] == [c.cell_id for c in cells]
 
 
 def test_progress_fires_once_per_cell_across_backends():
     cells = _cells(1)
-    for backend in (SerialBackend(), ChunkedBackend(workers=2, chunk_size=2)):
+    for kwargs in ({}, {"workers": 2, "chunk_size": 2}):
         seen = []
-        backend.run(cells, progress=lambda d, t, r: seen.append((d, t)))
+        run_sweep(cells, progress=lambda d, t, r: seen.append((d, t)), **kwargs)
         assert [d for d, _ in seen] == list(range(1, len(cells) + 1))
         assert all(t == len(cells) for _, t in seen)
 
@@ -101,9 +180,8 @@ def test_pool_failure_records_carry_observed_wall_time():
         base_spec("s1196", iterations=2),
         (("hook", lambda: None),),
     )
-    for backend in (ProcessPoolBackend(workers=1),
-                    ChunkedBackend(workers=1, chunk_size=1)):
-        [record] = backend.run([bad])
+    for kwargs in ({"workers": 1}, {"workers": 1, "chunk_size": 1}):
+        [record] = run_sweep([bad], **kwargs)
         assert not record.ok
         assert record.wall_seconds > 0.0  # was recorded as 0.0 before
 
@@ -170,8 +248,6 @@ def test_cache_hit_is_bit_identical_and_relabelled(tmp_path):
 
 
 def test_resume_runs_only_missing_cells(tmp_path, monkeypatch):
-    import repro.experiments.sweeps as sweeps_mod
-
     cells = _cells(1)  # 4 cells
     cache = CellCache(tmp_path)
     run_sweep(cells[:2], cache=cache)  # half-complete artifact dir
@@ -224,29 +300,34 @@ def test_cache_read_write_switches(tmp_path):
 
 def test_cache_fills_per_completion_not_at_sweep_end(tmp_path, monkeypatch):
     # An interrupted sweep must leave every finished cell on disk for
-    # --resume; deferring puts to after backend.run would lose them all.
-    import repro.experiments.sweeps as sweeps_mod
-
-    cells = _cells(1)  # 4 cells
-    cache = CellCache(tmp_path)
+    # --resume; deferring puts to the end of the sweep would lose them
+    # all.  Colliding cell ids (possible in hand-built lists) are no
+    # exception: the cache keys on the cell, not on its id.
+    unique = _cells(1)  # 4 cells
+    colliding = [
+        SweepCell(c.scenario, "same-id", c.strategy, c.spec, c.params)
+        for c in unique
+    ]
     real_run_cell = sweeps_mod.run_cell
-    calls = []
+    for k, cells in enumerate((unique, colliding)):
+        cache = CellCache(tmp_path / str(k))
+        calls = []
 
-    def interrupting(cell, **kwargs):
-        if len(calls) == 2:
-            raise KeyboardInterrupt
-        calls.append(cell.cell_id)
-        return real_run_cell(cell, **kwargs)
+        def interrupting(cell, **kwargs):
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            calls.append(cell.cell_id)
+            return real_run_cell(cell, **kwargs)
 
-    monkeypatch.setattr(sweeps_mod, "run_cell", interrupting)
-    with pytest.raises(KeyboardInterrupt):
-        run_sweep(cells, cache=cache)
-    assert len(cache) == 2  # the two completed cells survived
+        monkeypatch.setattr(sweeps_mod, "run_cell", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(cells, cache=cache)
+        assert len(cache) == 2  # the two completed cells survived
 
-    monkeypatch.setattr(sweeps_mod, "run_cell", real_run_cell)
-    resumed = run_sweep(cells, cache=cache)
-    assert [r.ok for r in resumed] == [True] * 4
-    assert len(cache) == 4
+        monkeypatch.setattr(sweeps_mod, "run_cell", real_run_cell)
+        resumed = run_sweep(cells, cache=cache)
+        assert [r.ok for r in resumed] == [True] * 4
+        assert len(cache) == 4
 
 
 def test_cache_also_read_consults_and_promotes_but_never_writes_back(tmp_path):

@@ -40,8 +40,8 @@ def test_run_cell_produces_full_record():
 
 def test_sweep_serial_and_pool_agree():
     cells = _tiny_cells()
-    serial = run_sweep(cells, processes=False)
-    pooled = run_sweep(cells, workers=2, processes=True)
+    serial = run_sweep(cells)
+    pooled = run_sweep(cells, workers=2)
     assert [r.canonical() for r in serial] == [r.canonical() for r in pooled]
 
 
