@@ -3,7 +3,7 @@
 
 Resolves the Table 2 scenario down to one circuit, fans it out over a
 process pool, saves JSON/CSV artifacts, and renders the paper-shaped
-report — the same pipeline as ``repro tables --table 2``, but as a
+report — the same pipeline as ``repro sweep --scenario table2``, but as a
 library tour for building custom studies on top of.
 
 Run:  python examples/scenario_sweep.py

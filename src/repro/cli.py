@@ -8,17 +8,14 @@ Subcommands
     Run one experiment cell (circuit × strategy × parameters) and print
     the outcome; ``--out`` also writes a JSON/CSV artifact.
 ``repro sweep``
-    Run a named scenario or an open-ended ``circuit × strategy × p ×
-    pattern`` grid in-process (``--backend serial``, the default) or as
-    chunks of cells over a process pool (``--backend chunked``, implied
-    by ``--workers``/``--chunk-size``), writing artifacts.  ``--shard
-    i/N`` runs one deterministic slice of the grid (CI/cluster fan-out);
-    ``--resume`` replays completed cells from the on-disk cell cache and
-    re-runs only the missing or failed ones.
-``repro tables``
-    Reproduce a paper table (``--table N``) or any registered scenario
-    (``--scenario NAME``) end to end: resolve, sweep, save the artifact
-    and render the paper-shaped report.
+    Run a registered scenario (``--scenario table1`` … ``table4`` for the
+    paper's tables) or an open-ended ``circuit × strategy × p × pattern``
+    grid end to end: resolve, run the cells in-process or one per task
+    over a process pool of ``--workers N``, save the artifacts and render
+    the paper-shaped report.  ``--shard i/N`` runs one deterministic
+    slice of the grid (CI/cluster fan-out); ``--resume`` replays
+    completed cells from the on-disk cell cache and re-runs only the
+    missing or failed ones.
 ``repro diff``
     Compare two sweep artifacts cell by cell (modulo wall-clock); exit 1
     on any difference — the merge gate for sharded runs.
@@ -74,7 +71,6 @@ from repro.experiments.registry import (
 )
 from repro.parallel.partition import ROW_PATTERNS
 from repro.experiments.sweeps import (
-    SWEEP_BACKENDS,
     parse_shard,
     run_cell,
     run_sweep,
@@ -139,7 +135,7 @@ _KNOB_FLAGS = {
 
 
 def _knob_parser() -> argparse.ArgumentParser:
-    """The knob flags ``run``, ``sweep`` and ``tables`` share.
+    """The knob flags ``run`` and ``sweep`` share.
 
     An unset knob (``None``) is not forced: each cell keeps its value.
     The registry knob checks each value, so a bad one is a usage error
@@ -147,7 +143,7 @@ def _knob_parser() -> argparse.ArgumentParser:
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group(
-        "run-time knobs (same meaning on run, sweep and tables)")
+        "run-time knobs (same meaning on run and sweep)")
     for name, (flag, metavar, help_text) in _KNOB_FLAGS.items():
         knob = KNOBS[name]
 
@@ -184,10 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run", parents=[knobs], help="run a single experiment cell")
-    p_run.add_argument("--circuit", default=None, choices=list_all_circuits())
-    p_run.add_argument("--scenario", default=None,
-                       help="run every cell of a registered scenario "
-                            "in-process instead of one --circuit cell")
+    p_run.add_argument("--circuit", required=True, choices=list_all_circuits())
     p_run.add_argument("--strategy", default="serial", choices=list(STRATEGIES))
     p_run.add_argument("--objectives", type=_csv_list,
                        default=["wirelength", "power"],
@@ -208,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[knobs], help="run a scenario or custom grid")
+        "sweep", parents=[knobs],
+        help="run a scenario (e.g. a paper table) or custom grid")
     p_sweep.add_argument("--scenario", default=None,
                          help="registered scenario name (see `repro list`)")
     p_sweep.add_argument("--circuits", type=_csv_list, default=None,
@@ -226,13 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--smoke", action="store_true",
                          help="tiny budgets/circuits (CI); default scenario: smoke")
     p_sweep.add_argument("--workers", type=_positive_int, default=None,
-                         help="process-pool size (implies --backend chunked)")
-    p_sweep.add_argument("--backend", default=None, choices=SWEEP_BACKENDS,
-                         help="execution backend (default: serial, or "
-                              "chunked when --workers/--chunk-size given)")
-    p_sweep.add_argument("--chunk-size", type=_positive_int, default=None,
-                         help="cells per pool task (implies --backend "
-                              "chunked)")
+                         help="run the cells one per task over a process "
+                              "pool of N (default: in-process)")
     p_sweep.add_argument("--shard", default=None, metavar="I/N",
                          help="run only deterministic shard I of N "
                               "(1-based); shards merge via --resume")
@@ -248,23 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tag", default=None,
                          help="artifact basename (default: scenario name)")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_tables = sub.add_parser(
-        "tables", parents=[knobs],
-        help="reproduce a paper table or render a scenario")
-    p_tables.add_argument("--table", type=int, default=None, choices=[1, 2, 3, 4],
-                          help="paper table number")
-    p_tables.add_argument("--scenario", default=None,
-                          help="any registered scenario name instead of "
-                               "a table number (see `repro list`)")
-    p_tables.add_argument("--circuits", type=_csv_list, default=None)
-    p_tables.add_argument("--scale", type=_positive_int, default=100)
-    p_tables.add_argument("--smoke", action="store_true",
-                          help="one cheap circuit, minimal iterations")
-    p_tables.add_argument("--workers", type=_positive_int, default=None,
-                          help="process-pool size (default: in-process)")
-    p_tables.add_argument("--out", default="artifacts")
-    p_tables.set_defaults(func=cmd_tables)
 
     p_diff = sub.add_parser(
         "diff", help="compare two sweep artifacts (modulo wall-clock)")
@@ -348,12 +320,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if (args.scenario is None) == (args.circuit is None):
-        print("need exactly one of --circuit CKT or --scenario NAME",
-              file=sys.stderr)
-        return 2
-    if args.scenario is not None:
-        return _run_scenario_inline(args)
     spec = base_spec(
         args.circuit, tuple(args.objectives), args.iterations, args.seed
     )
@@ -427,53 +393,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario_inline(args: argparse.Namespace) -> int:
-    """``repro run --scenario NAME``: every cell, in-process, in order.
-
-    A convenience front end over the same cells ``repro sweep`` resolves
-    — no pool, no cache, artifacts only with ``--out`` (named like the
-    ``repro sweep`` artifact of the same knobs).
-    """
-    try:
-        scenario = get_scenario(args.scenario)
-        cells = resolve(scenario, scale=100)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    cells, tag = _apply_knobs(args, cells, scenario.name)
-    print(f"run {scenario.name}: {len(cells)} cells")
-    records = run_sweep(cells, progress=_progress, max_retries=args.max_retries)
-    if args.out:
-        store = ArtifactStore(args.out)
-        json_path, _csv_path = store.save(tag, records)
-        print(f"artifact: {json_path}")
-    return _render(records, scenario.name)
-
-
-def _render(records: Sequence[RunRecord], name: str) -> int:
-    """Print the report; exit status 1 if any cell failed."""
-    print()
-    print(render_records(records, name))
-    bad = failed(records)
-    if bad:
-        print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _apply_knobs(
-    args: argparse.Namespace, cells: Sequence[SweepCell], tag: str
-) -> tuple[list[SweepCell], str]:
-    """Force the command line's knobs onto ``cells``; suffix ``tag`` so a
-    forced run never clobbers the default artifact (unless ``--tag``)."""
-    forced = {name: getattr(args, name) for name in KNOBS}
-    if not getattr(args, "tag", None):
-        tag += "".join(
-            KNOBS[name].tag(v) for name, v in forced.items() if v is not None
-        )
-    return override(cells, **forced), tag
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.strategies:
         if args.scenario:
@@ -517,32 +436,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-    return _execute_sweep(args, scenario, cells, banner=f"sweep {scenario.name}")
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    if (args.table is None) == (args.scenario is None):
-        print("need exactly one of --table N or --scenario NAME", file=sys.stderr)
-        return 2
-    name = args.scenario if args.scenario else f"table{args.table}"
-    try:
-        scenario = get_scenario(name)
-        cells = resolve(
-            scenario,
-            scale=args.scale,
-            circuits=args.circuits,
-            smoke=args.smoke,
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return _execute_sweep(args, scenario, cells, banner=scenario.title)
+    return _execute_sweep(args, scenario, cells)
 
 
 def _execute_sweep(
-    args: argparse.Namespace, scenario: Any, cells: Sequence[Any], banner: str
+    args: argparse.Namespace, scenario: Any, cells: Sequence[SweepCell]
 ) -> int:
-    """Shared tail of `sweep` and `tables`: run, save artifacts, render.
+    """The tail of `sweep`: run, save artifacts, render the report.
 
     Exit status: 0 all cells succeeded, 1 any cell failed, 2 bad usage —
     a red sweep must never look green to a caller or a CI job.
@@ -553,13 +453,20 @@ def _execute_sweep(
         print("error: resolved 0 cells (empty circuit/seed set?)", file=sys.stderr)
         return 2
     # Smoke runs get their own artifact name so they never clobber a
-    # full-scale run of the same scenario; shards get a slice suffix.
-    tag = getattr(args, "tag", None) or scenario.name
-    if args.smoke and not getattr(args, "tag", None) and not tag.endswith("smoke"):
-        tag = f"{scenario.name}-smoke"
-    cells, tag = _apply_knobs(args, cells, tag)
+    # full-scale run of the same scenario, a forced knob suffixes its
+    # value for the same reason (unless --tag), and shards get a slice
+    # suffix.
+    forced = {name: getattr(args, name) for name in KNOBS}
+    cells = override(cells, **forced)
+    tag = args.tag or scenario.name
+    if not args.tag:
+        if args.smoke and not tag.endswith("smoke"):
+            tag = f"{scenario.name}-smoke"
+        tag += "".join(
+            KNOBS[name].tag(v) for name, v in forced.items() if v is not None
+        )
     shard = None
-    if getattr(args, "shard", None):
+    if args.shard:
         try:
             shard = parse_shard(args.shard)
         except ValueError as exc:
@@ -572,13 +479,13 @@ def _execute_sweep(
                   file=sys.stderr)
             return 2
 
-    resume = getattr(args, "resume", None)
-    if resume is not None and getattr(args, "no_cache", False):
+    resume = args.resume
+    if resume is not None and args.no_cache:
         print("--resume and --no-cache are contradictory (resume replays "
               "the cell cache)", file=sys.stderr)
         return 2
     cache = None
-    if not getattr(args, "no_cache", False):
+    if not args.no_cache:
         # Fresh cells always land in --out's cache (that is what a later
         # `--resume` on this directory resumes from); reads happen only
         # under --resume, additionally consulting an explicit DIR without
@@ -592,21 +499,15 @@ def _execute_sweep(
         cache = CellCache(out_cells, read=resume is not None, also_read=extra)
 
     shard_note = f" [shard {shard[0]}/{shard[1]}]" if shard else ""
-    print(f"{banner}: {len(cells)} cells"
+    print(f"sweep {scenario.name}: {len(cells)} cells"
           + (" (smoke)" if args.smoke else "") + shard_note)
-    try:
-        records = run_sweep(
-            cells,
-            workers=args.workers,
-            progress=_progress,
-            backend=getattr(args, "backend", None),
-            chunk_size=getattr(args, "chunk_size", None),
-            cache=cache,
-            max_retries=args.max_retries,
-        )
-    except ValueError as exc:  # a conflicting backend/pool flag pair
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = run_sweep(
+        cells,
+        workers=args.workers,
+        progress=_progress,
+        cache=cache,
+        max_retries=args.max_retries,
+    )
     store = ArtifactStore(args.out)
     meta = {
         "scenario": scenario.name,
@@ -618,7 +519,13 @@ def _execute_sweep(
         meta["shard"] = f"{shard[0]}/{shard[1]}"
     json_path, csv_path = store.save(tag, records, meta)
     print(f"\nartifacts: {json_path}  {csv_path}")
-    return _render(records, scenario.name)
+    print()
+    print(render_records(records, scenario.name))
+    bad = failed(records)
+    if bad:
+        print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:

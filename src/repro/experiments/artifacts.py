@@ -4,7 +4,7 @@ A sweep produces one :class:`RunRecord` per cell.  The
 :class:`ArtifactStore` persists a record list as
 
 * ``<root>/<name>.json`` — metadata plus every record, including the full
-  quality-vs-time history (what ``repro tables`` re-renders and what
+  quality-vs-time history (what ``repro sweep`` renders from and what
   downstream analysis loads);
 * ``<root>/<name>.csv`` — one flat row per record for spreadsheets and
   quick ``pandas``-free inspection.
@@ -32,22 +32,28 @@ result inputs); :meth:`CellCache.get` re-labels a hit for the requesting
 cell.  :func:`version_key` folds the package version plus a result-schema
 tag into every key, so numerics-changing releases can never replay stale
 records.  Failed records are never cached — resume always re-runs them.
+
+Both stores write a file as a tmp sibling then ``os.replace`` it in,
+holding the path's ``.locks/`` flock.  A writer killed in between leaves
+its tmp file behind; the next writer of the same path removes it.
 """
 
 from __future__ import annotations
 
 import csv
+import glob
 import io
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.parallel.runners import ParallelOutcome
 
-try:  # POSIX-only; the cache degrades to plain atomic replace without it
+try:  # POSIX-only; writes degrade to plain atomic replace without it
     import fcntl
 except ImportError:  # pragma: no cover - non-posix hosts
     fcntl = None  # type: ignore[assignment]
@@ -248,6 +254,28 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+@contextmanager
+def _writer_lock(*paths: Path) -> Iterator[None]:
+    """Hold the flock every writer of ``paths`` takes, ``.locks/<stem>.lock``
+    beside the first path.
+
+    Under it no other writer of ``paths`` is live, so a ``.tmp`` sibling
+    left there was left by a killed one: a clean exit removes them all.
+    Without ``fcntl`` nothing is locked and nothing is removed.
+    """
+    if fcntl is None:
+        yield
+        return
+    lock_dir = paths[0].parent / ".locks"
+    lock_dir.mkdir(exist_ok=True)
+    with open(lock_dir / f"{paths[0].stem}.lock", "w") as lock_fh:
+        fcntl.flock(lock_fh, fcntl.LOCK_EX)  # closing the file releases it
+        yield
+        for path in paths:
+            for stale in path.parent.glob(f"{glob.escape(path.name)}.tmp*"):
+                stale.unlink(missing_ok=True)
+
+
 class ArtifactStore:
     """Reads and writes sweep artifacts under one root directory."""
 
@@ -263,7 +291,8 @@ class ArtifactStore:
         """Write ``<name>.json`` and ``<name>.csv``; returns both paths.
 
         Each file is replaced atomically: a save that dies midway leaves
-        the previous artifact loadable.
+        the previous artifact loadable, and the next save removes its tmp
+        files.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         json_path = self.root / f"{name}.json"
@@ -272,12 +301,14 @@ class ArtifactStore:
             "meta": meta or {},
             "records": [r.to_dict() for r in records],
         }
-        _atomic_write(json_path, json.dumps(payload, indent=2, sort_keys=True))
         rows = io.StringIO()
         writer = csv.DictWriter(rows, fieldnames=list(CSV_COLUMNS))
         writer.writeheader()
         writer.writerows(r.csv_row() for r in records)
-        _atomic_write(csv_path, rows.getvalue())
+        with _writer_lock(json_path, csv_path):
+            _atomic_write(
+                json_path, json.dumps(payload, indent=2, sort_keys=True))
+            _atomic_write(csv_path, rows.getvalue())
         return json_path, csv_path
 
     def load(self, name_or_path: str | Path) -> tuple[dict[str, Any], list[RunRecord]]:
@@ -327,30 +358,29 @@ class CellCache:
 
     ``read=False`` makes :meth:`get` always miss (write-through mode: a
     fresh sweep records its cells for a later ``--resume`` without reusing
-    anything); ``write=False`` makes :meth:`put` a no-op.  ``also_read``
-    lists extra directories consulted (after ``root``) on lookup — how
-    ``--resume DIR`` replays another run's cache while still filing fresh
-    cells under its own output directory.
+    anything).  ``also_read`` lists extra directories consulted (after
+    ``root``) on lookup — how ``--resume DIR`` replays another run's cache
+    while still filing fresh cells under its own output directory.
 
     Writes are concurrency-safe at two levels: each entry is written to a
     process- and thread-unique tmp file and atomically ``os.replace``-d
     into place (no torn entries, ever), and on POSIX a per-key ``flock``
     in ``<root>/.locks/`` serialises writers of the same key with
     first-writer-wins semantics — once a valid successful record is on
-    disk for a key, later writers (pool workers, shard processes,
-    fallback promotion) leave it untouched instead of rewriting it.
+    disk for a key, later writers (sweeps sharing the directory, such
+    as concurrent shards, and fallback promotion) leave it untouched
+    instead of rewriting it.  A tmp file a killed writer left for the key
+    is removed by the next writer, under the flock.
     """
 
     def __init__(
         self,
         root: str | Path,
         read: bool = True,
-        write: bool = True,
         also_read: Sequence[str | Path] = (),
     ):
         self.root = Path(root)
         self.read = read
-        self.write = write
         self.also_read = [Path(p) for p in also_read]
 
     def path_for(self, cell: "SweepCell") -> Path:
@@ -400,28 +430,17 @@ class CellCache:
         valid entry is the right one — and not rewriting means readers
         racing a writer in the flock-less fallback never see churn).
         """
-        if not self.write or not record.ok:
+        if not record.ok:
             return None
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(cell)
-        lock_fh = None
-        if fcntl is not None:
-            lock_dir = self.root / ".locks"
-            lock_dir.mkdir(exist_ok=True)
-            lock_fh = open(lock_dir / f"{path.stem}.lock", "w")
-            fcntl.flock(lock_fh, fcntl.LOCK_EX)
-        try:
-            if self._has_valid_entry(path):
-                return path
-            _atomic_write(path, json.dumps(
-                {"key": path.stem, "version": version_key(),
-                 "record": record.to_dict()},
-                indent=2, sort_keys=True,
-            ))
-        finally:
-            if lock_fh is not None:
-                fcntl.flock(lock_fh, fcntl.LOCK_UN)
-                lock_fh.close()
+        with _writer_lock(path):
+            if not self._has_valid_entry(path):
+                _atomic_write(path, json.dumps(
+                    {"key": path.stem, "version": version_key(),
+                     "record": record.to_dict()},
+                    indent=2, sort_keys=True,
+                ))
         return path
 
     def __len__(self) -> int:

@@ -2,16 +2,14 @@
 
 Takes the :class:`~repro.experiments.registry.SweepCell` lists the registry
 resolves and runs them through :func:`run_sweep`: cache look-ups first,
-then one completion loop over contiguous chunks of the pending cells.
-The loop runs each chunk in-process (``backend="serial"``, one cell per
-chunk) or as one task of a :class:`ProcessPoolExecutor`
-(``backend="chunked"``, the default once ``workers`` or ``chunk_size``
-is given).  Cells of one scenario arrive grouped by circuit (the
-registry's resolution order), so a chunk's cells share the worker
-process's single-flight circuit/grid/initial-placement caches — the
-per-process setup that dominates small cells is paid once per chunk
-instead of once per cell.  Pool workers die with the driver (Linux): a
-killed sweep leaves no orphans.
+then one completion loop over the pending cells.  The loop runs each
+cell in-process (``backend="serial"``) or as one task of a
+:class:`ProcessPoolExecutor` (``backend="chunked"``, the default once
+``workers`` is given).  Pool workers persist across tasks, so a worker's
+single-flight circuit/grid/initial-placement caches carry over from one
+cell to its next.  Pool workers die with the sweep process (Linux): a
+killed sweep leaves no orphans, and loses only the cells that were
+running.
 
 A cell runs as one lookup in the registry's strategy table:
 ``get_strategy(cell.strategy).run(cell.spec, **params)``.  Each cell is a
@@ -32,8 +30,8 @@ That purity is also what makes two orthogonal features safe:
 A failing cell (bad circuit, runner error) never takes the sweep down: it
 yields a :class:`~repro.experiments.artifacts.RunRecord` with ``ok=False``
 and the traceback, and the remaining cells proceed.  Pool-level failures
-(a worker dying mid-task) are charged the wall time observed between
-submission and the failure, not zero.
+(a worker dying mid-task) are charged the wall time observed since the
+previous completion, not zero.
 """
 
 from __future__ import annotations
@@ -70,12 +68,9 @@ __all__ = [
 #: Called after each cell completes: ``progress(done, total, record)``.
 ProgressFn = Callable[[int, int, RunRecord], None]
 
-#: The ``backend`` names :func:`run_sweep` accepts.
+#: The ``backend`` names :func:`run_sweep` accepts: in-process, or the
+#: process pool (which runs one cell per task; the name is historical).
 SWEEP_BACKENDS = ("serial", "chunked")
-
-#: Target pool tasks per worker when ``chunk_size`` is unset — enough
-#: slack for load balancing without giving up the per-chunk amortization.
-_OVERSUBSCRIBE = 4
 
 #: Exception types retrying can plausibly fix: rank deaths, wedges and
 #: dropped connections (:class:`CommError` covers all injected faults),
@@ -214,11 +209,11 @@ def run_cell(
         )
 
 
-def _run_chunk(
-    cells: list[SweepCell], max_retries: int = 0
-) -> list[RunRecord]:
-    """One completion of :func:`run_sweep`: a chunk of cells, in order."""
-    return [run_cell(cell, max_retries=max_retries) for cell in cells]
+def _run_task(cell: SweepCell, max_retries: int) -> RunRecord:
+    """One pool task: one cell.  Submitted in place of :func:`run_cell`
+    so the worker looks ``run_cell`` up by name, and a wrapped one (a
+    tracer's, which pickles by a foreign module path) runs there too."""
+    return run_cell(cell, max_retries=max_retries)
 
 
 def _exit_with_driver(driver_pid: int) -> None:
@@ -242,8 +237,8 @@ def _exit_with_driver(driver_pid: int) -> None:
         os._exit(1)
 
 
-def _pool(workers: int | None) -> ProcessPoolExecutor:
-    """The sweep's process pool, whose workers die with the driver.
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The sweep's process pool of ``workers``, which die with their parent.
 
     On Linux the workers are forked: they must be the driver's own
     children (not a forkserver's) for the parent-death signal to track it.
@@ -297,18 +292,16 @@ def run_sweep(
     workers: int | None = None,
     progress: ProgressFn | None = None,
     backend: str | None = None,
-    chunk_size: int | None = None,
     cache: CellCache | None = None,
     max_retries: int = 0,
 ) -> list[RunRecord]:
     """Run every cell; return records in the input order.
 
-    ``backend="chunked"`` runs contiguous chunks of cells as tasks of one
-    process pool of ``workers`` (default: the CPU count); ``chunk_size``
-    defaults to enough chunks for about four tasks per worker.  Unset,
-    ``backend`` means ``"chunked"`` when ``workers`` or ``chunk_size`` is
-    given and ``"serial"`` (in-process, one cell at a time) otherwise.
-    ``"serial"`` with ``workers`` or ``chunk_size``, or any other name,
+    ``backend="chunked"`` runs each pending cell as one task of a process
+    pool of ``workers`` (default: the CPU count), never more workers than
+    pending cells.  Unset, ``backend`` means ``"chunked"`` when
+    ``workers`` is given and ``"serial"`` (in-process, one cell at a
+    time) otherwise.  ``"serial"`` with ``workers``, or any other name,
     is a :class:`ValueError`.  Every field except the host-dependent
     ``wall_seconds`` is identical across backends (compare via
     :meth:`RunRecord.canonical`).
@@ -325,15 +318,11 @@ def run_sweep(
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {list(SWEEP_BACKENDS)}"
         )
-    sized = workers is not None or chunk_size is not None
-    if backend == "serial" and sized:
+    if backend == "serial" and workers is not None:
         raise ValueError(
-            "backend 'serial' runs in-process: workers and chunk_size "
-            "need backend 'chunked'"
+            "backend 'serial' runs in-process: workers need backend 'chunked'"
         )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    pooled = backend == "chunked" or sized
+    pooled = backend == "chunked" or workers is not None
 
     total = len(cells)
     slots: list[RunRecord | None] = [None] * total
@@ -349,45 +338,38 @@ def run_sweep(
         if progress:
             progress(done, total, hit)
 
-    size = 1
-    if pooled:
-        tasks = (workers or os.cpu_count() or 1) * _OVERSUBSCRIBE
-        size = chunk_size or max(1, -(-len(pending) // tasks))
-    chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
-    with (_pool(workers) if pooled and chunks else nullcontext()) as pool:
+    size = min(workers or os.cpu_count() or 1, len(pending))
+    with (_pool(size) if pooled and pending else nullcontext()) as pool:
         last_event = time.perf_counter()
         if pool is None:
             finished = (
-                (chunk, partial(_run_chunk, [cells[i] for i in chunk], max_retries))
-                for chunk in chunks
+                (i, partial(run_cell, cells[i], max_retries=max_retries))
+                for i in pending
             )
         else:
             futures = {
-                pool.submit(_run_chunk, [cells[i] for i in chunk], max_retries): chunk
-                for chunk in chunks
+                pool.submit(_run_task, cells[i], max_retries): i
+                for i in pending
             }
-            # Take completions as they happen (a slow head chunk must not
+            # Take completions as they happen (a slow head cell must not
             # make the whole sweep look hung); the slots keep the order.
             finished = ((futures[f], f.result) for f in as_completed(futures))
-        for chunk, result in finished:
+        for i, result in finished:
             try:
-                records = result()
+                record = result()
             except Exception as exc:  # noqa: BLE001 - e.g. a broken pool
-                # Charge the wall time observed since the previous event
-                # (0.0 would undercount the failure; time since the start
-                # would charge a late one the whole sweep), split evenly
-                # over the chunk's cells, not duplicated.
-                elapsed = (time.perf_counter() - last_event) / len(chunk)
-                records = [
-                    _failure_record(cells[i], f"{type(exc).__name__}: {exc}", elapsed)
-                    for i in chunk
-                ]
+                # Charge the wall time observed since the previous event:
+                # 0.0 would undercount the failure, and time since the
+                # start would charge a late one the whole sweep.
+                record = _failure_record(
+                    cells[i], f"{type(exc).__name__}: {exc}",
+                    time.perf_counter() - last_event,
+                )
             last_event = time.perf_counter()
-            for i, record in zip(chunk, records):
-                slots[i] = record
-                if cache is not None:
-                    cache.put(cells[i], record)
-                done += 1
-                if progress:
-                    progress(done, total, record)
+            slots[i] = record
+            if cache is not None:
+                cache.put(cells[i], record)
+            done += 1
+            if progress:
+                progress(done, total, record)
     return [r for r in slots if r is not None]

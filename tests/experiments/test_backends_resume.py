@@ -3,10 +3,9 @@
 The contracts pinned here are what make `repro sweep --shard i/N` and
 `--resume` safe:
 
-* serial and pooled runs at any chunk size produce canonically
-  identical records;
-* the pool is chosen and sized by ``backend``/``workers``/``chunk_size``
-  exactly as documented, and conflicting settings are refused;
+* serial and pooled runs produce canonically identical records;
+* the pool is chosen by ``backend``/``workers`` exactly as documented,
+  conflicting settings are refused, and it runs one task per cell;
 * shards are disjoint, covering, and deterministic;
 * cache hits are bit-identical (modulo wall_seconds) to fresh runs;
 * resume re-runs only missing/failed cells, and every completed cell is
@@ -16,6 +15,9 @@ The contracts pinned here are what make `repro sweep --shard i/N` and
 """
 
 from __future__ import annotations
+
+import os
+import sys
 
 import pytest
 
@@ -43,51 +45,53 @@ def _cells(n_extra_seeds: int = 0) -> list[SweepCell]:
     return cells
 
 
-def _submitted_chunk_sizes(monkeypatch) -> list[int]:
-    """Record the cell count of every task the sweep submits to its pool."""
+def _submitted_tasks(monkeypatch) -> tuple[list, list[int]]:
+    """Record the pool size and the argument of every task the sweep
+    submits to its pool."""
+    tasks: list = []
     sizes: list[int] = []
     real_pool = sweeps_mod._pool
 
     def counting_pool(workers):
+        sizes.append(workers)
         pool = real_pool(workers)
         real_submit = pool.submit
 
-        def submit(fn, chunk, *args):
-            sizes.append(len(chunk))
-            return real_submit(fn, chunk, *args)
+        def submit(fn, task, *args, **kwargs):
+            tasks.append(task)
+            return real_submit(fn, task, *args, **kwargs)
 
         pool.submit = submit
         return pool
 
     monkeypatch.setattr(sweeps_mod, "_pool", counting_pool)
-    return sizes
+    return tasks, sizes
 
 
 # ---------------------------------------------------------------------------
-# The sweep loop: backend selection, chunking, progress, failures
+# The sweep loop: backend selection, pool tasks, progress, failures
 # ---------------------------------------------------------------------------
 
 
 def test_all_backends_agree_canonically():
     cells = _cells(1)
     want = [r.canonical() for r in run_sweep(cells)]
-    for chunk_size in (1, 3):
-        pooled = run_sweep(cells, workers=2, chunk_size=chunk_size)
+    for workers in (1, 3):
+        pooled = run_sweep(cells, workers=workers)
         assert [r.canonical() for r in pooled] == want
 
 
 def test_backend_names_and_unknown():
     cells = _cells()[:1]
     assert run_sweep(cells, backend="serial")[0].ok
-    assert run_sweep(cells, backend="chunked", chunk_size=4)[0].ok
-    # "process" was the chunked pool pinned to chunk size 1; it is gone.
+    assert run_sweep(cells, backend="chunked")[0].ok
+    # "process" (the pool at one cell per task) is not a backend name.
     for name in ("gpu", "process"):
         with pytest.raises(ValueError, match="expected one of .*serial.*chunked"):
             run_sweep(cells, backend=name)
     # An explicit in-process run cannot also be sized as a pool.
-    for kwargs in ({"workers": 2}, {"chunk_size": 2}):
-        with pytest.raises(ValueError, match="serial"):
-            run_sweep(cells, backend="serial", **kwargs)
+    with pytest.raises(ValueError, match="serial"):
+        run_sweep(cells, backend="serial", workers=2)
 
 
 @pytest.mark.parametrize("flags", [
@@ -99,6 +103,8 @@ def test_backend_names_and_unknown():
 def test_folded_or_conflicting_pool_flags_are_usage_errors(
     flags, tmp_path, capsys,
 ):
+    """``--workers N`` alone selects the pool: the backend and chunk-size
+    flags are gone, and so is the conflict between them."""
     from repro.cli import main
 
     argv = ["sweep", "--smoke", "--out", str(tmp_path), *flags]
@@ -114,58 +120,89 @@ def test_folded_or_conflicting_pool_flags_are_usage_errors(
 def test_run_sweep_backend_selection_compatible():
     cells = _cells()
     a = run_sweep(cells)
-    b = run_sweep(cells, backend="chunked", workers=2, chunk_size=2)
+    b = run_sweep(cells, backend="chunked", workers=2)
     assert [r.canonical() for r in a] == [r.canonical() for r in b]
 
 
-def test_chunk_size_sets_the_pool_task_size(monkeypatch):
-    sizes = _submitted_chunk_sizes(monkeypatch)
-    cells = _cells(2)  # 6 cells
+def test_pool_runs_one_task_per_cell(monkeypatch):
+    tasks, sizes = _submitted_tasks(monkeypatch)
+    cells = [
+        SweepCell("t", f"s1196/seed{seed}/serial", "serial",
+                  base_spec("s1196", iterations=1, seed=seed))
+        for seed in range(36)
+    ]
     run_sweep(cells[:2])
-    assert sizes == []  # plain calls stay in-process
-    run_sweep(cells[:2], chunk_size=2)
-    assert sizes == [2]  # chunk_size alone implies the pool
-    # --workers 2 --chunk-size 3 used to run one cell per task.
-    sizes.clear()
-    records = run_sweep(cells, workers=2, chunk_size=3)
-    assert sizes == [3, 3]
+    assert tasks == []  # plain calls stay in-process
+    # One task per cell, so each record is filed as it completes and a
+    # killed sweep loses only the cells that were running.
+    records = run_sweep(cells, workers=2)
+    assert tasks == cells
+    assert sizes == [2]
     assert [r.cell_id for r in records] == [c.cell_id for c in cells]
-    # Unset, the size gives about four tasks per worker: ceil(6 / 8) = 1.
-    sizes.clear()
-    run_sweep(cells, workers=2)
-    assert sizes == [1] * 6
+    assert all(r.ok for r in records)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="only forked workers inherit the patch")
+def test_pool_workers_run_a_wrapped_run_cell(monkeypatch):
+    # A tracer wraps run_cell with a function that cannot pickle by name;
+    # the pool must still run the wrapper, not fail the task.
+    real_run_cell = sweeps_mod.run_cell
+
+    def wrapped(cell, **kwargs):
+        record = real_run_cell(cell, **kwargs)
+        record.attempt_errors = ["wrapped"]
+        return record
+
+    monkeypatch.setattr(sweeps_mod, "run_cell", wrapped)
+    [record] = run_sweep(_cells()[:1], workers=1)
+    assert record.ok and record.attempt_errors == ["wrapped"]
 
 
 def test_chunks_cover_only_the_cache_misses(tmp_path, monkeypatch):
     cells = _cells(2)  # 6 cells
     cache = CellCache(tmp_path)
     run_sweep(cells[:2], cache=cache)
-    sizes = _submitted_chunk_sizes(monkeypatch)
-    resumed = run_sweep(cells, workers=1, cache=cache)
-    assert sizes == [1] * 4  # ceil(4 pending / 4) = 1 cell per task
+    tasks, sizes = _submitted_tasks(monkeypatch)
+    resumed = run_sweep(cells, workers=3, cache=cache)
+    assert tasks == cells[2:]  # one task per missing cell, nothing else
     assert [r.cell_id for r in resumed] == [c.cell_id for c in cells]
-    sizes.clear()
+    tasks.clear()
     run_sweep(cells, workers=1, cache=cache)
-    assert sizes == []  # all hits: no pool starts
+    assert tasks == [] and sizes == [3]  # all hits: no pool starts
 
 
-def test_chunked_backend_chunk_size_validation():
-    for kwargs in ({"chunk_size": 0}, {"backend": "chunked", "chunk_size": 0}):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_sweep(_cells(), **kwargs)
+def test_pool_never_outnumbers_the_pending_cells(tmp_path, monkeypatch):
+    # Python 3.11 forks every worker at the first submit, so an oversized
+    # pool forks processes that never get a cell.
+    cells = _cells(1)  # 4 cells
+    cache = CellCache(tmp_path)
+    run_sweep(cells[:3], cache=cache)
+    tasks, sizes = _submitted_tasks(monkeypatch)
+    run_sweep(cells, workers=8, cache=cache)
+    assert tasks == cells[3:] and sizes == [1]
+    run_sweep(cells, backend="chunked")
+    assert sizes == [1, min(os.cpu_count() or 1, len(cells))]
 
 
 def test_chunked_backend_preserves_order_with_ragged_chunks(monkeypatch):
-    sizes = _submitted_chunk_sizes(monkeypatch)
-    cells = _cells(2)  # 6 cells, chunk_size 4 -> chunks of 4 and 2
-    records = run_sweep(cells, workers=2, chunk_size=4)
-    assert sorted(sizes) == [2, 4]
+    # Cells of uneven cost finish out of submission order; the pool still
+    # returns their records in input order.
+    tasks, _ = _submitted_tasks(monkeypatch)
+    cells = [
+        SweepCell("t", f"s1196/seed{seed}/serial", "serial",
+                  base_spec("s1196", iterations=iters, seed=seed))
+        for seed, iters in enumerate((20, 1, 10, 1, 5, 1, 2))
+    ]
+    records = run_sweep(cells, backend="chunked", workers=2)
+    assert tasks == cells
     assert [r.cell_id for r in records] == [c.cell_id for c in cells]
+    assert all(r.ok for r in records)
 
 
 def test_progress_fires_once_per_cell_across_backends():
     cells = _cells(1)
-    for kwargs in ({}, {"workers": 2, "chunk_size": 2}):
+    for kwargs in ({}, {"workers": 2}):
         seen = []
         run_sweep(cells, progress=lambda d, t, r: seen.append((d, t)), **kwargs)
         assert [d for d, _ in seen] == list(range(1, len(cells) + 1))
@@ -180,7 +217,7 @@ def test_pool_failure_records_carry_observed_wall_time():
         base_spec("s1196", iterations=2),
         (("hook", lambda: None),),
     )
-    for kwargs in ({"workers": 1}, {"workers": 1, "chunk_size": 1}):
+    for kwargs in ({"workers": 1}, {"backend": "chunked"}):
         [record] = run_sweep([bad], **kwargs)
         assert not record.ok
         assert record.wall_seconds > 0.0  # was recorded as 0.0 before
@@ -293,9 +330,6 @@ def test_cache_read_write_switches(tmp_path):
     run_sweep(cells, cache=write_only)
     assert len(write_only) == len(cells)
     assert write_only.get(cells[0]) is None  # reads disabled
-    disabled = CellCache(tmp_path / "other", write=False)
-    run_sweep(cells, cache=disabled)
-    assert len(disabled) == 0
 
 
 def test_cache_fills_per_completion_not_at_sweep_end(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""CLI smoke tests: `repro list`, `repro run`, `repro sweep`, `repro tables`."""
+"""CLI smoke tests: `repro list`, `repro run`, `repro sweep`, `repro diff`."""
 
 from __future__ import annotations
 
@@ -77,8 +77,22 @@ def test_sweep_smoke_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "ci.csv").exists()
 
 
+def test_sweep_smoke_scenario_runs_every_strategy(tmp_path, capsys):
+    """The smoke scenario is five cells, one per strategy."""
+    code = main(["sweep", "--scenario", "smoke", "--no-cache",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "sweep smoke: 5 cells" in out
+    payload = json.loads((tmp_path / "smoke.json").read_text())
+    assert {r["strategy"] for r in payload["records"]} == {
+        "serial", "type1", "type2", "type3", "type3x"
+    }
+
+
 def test_tables_smoke_renders_table_shape(tmp_path, capsys):
-    code = main(["tables", "--table", "1", "--smoke", "--out", str(tmp_path)])
+    code = main(["sweep", "--scenario", "table1", "--smoke", "--out",
+                 str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
@@ -295,16 +309,16 @@ def test_diff_rejects_recordless_json(tmp_path, capsys):
 
 
 def test_tables_renders_new_scenarios_smoke(tmp_path, capsys):
-    # The acceptance bar: the new families render via `repro tables`.
+    # The acceptance bar: the new families render via `repro sweep`.
     code = main([
-        "tables", "--scenario", "knobs", "--smoke", "--out", str(tmp_path),
+        "sweep", "--scenario", "knobs", "--smoke", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "Knob grid" in out and "adaptive" in out
 
     code = main([
-        "tables", "--scenario", "shootout", "--smoke", "--out", str(tmp_path),
+        "sweep", "--scenario", "shootout", "--smoke", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -313,24 +327,18 @@ def test_tables_renders_new_scenarios_smoke(tmp_path, capsys):
 
 def test_tables_scenario_scaling_and_retry_render(tmp_path, capsys):
     code = main([
-        "tables", "--scenario", "scaling", "--smoke", "--out", str(tmp_path),
+        "sweep", "--scenario", "scaling", "--smoke", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "Scaling ladder" in out and "synth250" in out and "250" in out
 
     code = main([
-        "tables", "--scenario", "retry", "--smoke", "--out", str(tmp_path),
+        "sweep", "--scenario", "retry", "--smoke", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "Retry study" in out and "type3x" in out
-
-
-def test_tables_requires_exactly_one_target(capsys):
-    assert main(["tables"]) == 2
-    assert main(["tables", "--table", "1", "--scenario", "smoke"]) == 2
-    assert main(["tables", "--scenario", "nope"]) == 2
 
 
 def test_list_shows_new_scenarios_and_ladder(capsys):
@@ -410,7 +418,7 @@ def test_sweep_smoke_on_socket_cluster(tmp_path, capsys):
 
 def test_tables_speedup_smoke_renders_side_by_side(tmp_path, capsys):
     code = main([
-        "tables", "--scenario", "speedup", "--smoke", "--out", str(tmp_path),
+        "sweep", "--scenario", "speedup", "--smoke", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -425,22 +433,18 @@ def test_tables_speedup_smoke_renders_side_by_side(tmp_path, capsys):
     assert all(r["ok"] for r in payload["records"])
 
 
-def test_run_scenario_inline(tmp_path, capsys):
-    code = main(["run", "--scenario", "smoke", "--out", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "run smoke: 5 cells" in out
-    payload = json.loads((tmp_path / "smoke.json").read_text())
-    assert {r["strategy"] for r in payload["records"]} == {
-        "serial", "type1", "type2", "type3", "type3x"
-    }
-
-
-def test_run_requires_circuit_xor_scenario(capsys):
-    assert main(["run"]) == 2
-    assert "exactly one" in capsys.readouterr().err
-    assert main(["run", "--circuit", "s1196", "--scenario", "smoke"]) == 2
-    assert main(["run", "--scenario", "nope"]) == 2
+def test_run_requires_circuit(capsys):
+    """`repro run` runs one --circuit cell; a scenario is `repro sweep`'s."""
+    for argv, message in [
+        (["run"], "the following arguments are required: --circuit"),
+        (["run", "--scenario", "smoke"], "arguments are required: --circuit"),
+        (["run", "--circuit", "s1196", "--scenario", "smoke"],
+         "unrecognized arguments: --scenario smoke"),
+    ]:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------------- --eval-mode
@@ -489,6 +493,18 @@ def test_sweep_eval_mode_tags_artifact(tmp_path, capsys):
         assert rec["spec"]["eval_mode"] == "batch"
 
 
+def test_sweep_scenario_artifact_is_knob_suffixed(tmp_path, capsys):
+    """`repro sweep --scenario` suffixes forced knobs onto the artifact
+    name, so a batch run never overwrites the default `smoke.json`."""
+    for knobs in ([], ["--eval-mode", "batch"]):
+        assert main(["sweep", "--scenario", "smoke", *knobs, "--no-cache",
+                     "--out", str(tmp_path)]) == 0
+    default = json.loads((tmp_path / "smoke.json").read_text())
+    batch = json.loads((tmp_path / "smoke-batch.json").read_text())
+    assert {r["spec"]["eval_mode"] for r in default["records"]} == {"scalar"}
+    assert {r["spec"]["eval_mode"] for r in batch["records"]} == {"batch"}
+
+
 # ------------------------------------------------------ shared knob flags
 
 
@@ -496,7 +512,7 @@ def test_sweep_eval_mode_tags_artifact(tmp_path, capsys):
     ["run", "--circuit", "s1196", "--strategy", "type2", "--p", "2",
      "--cluster", "socket"],
     ["sweep", "--smoke", "--no-cache"],
-    ["tables", "--table", "4", "--smoke"],
+    ["sweep", "--scenario", "table4", "--smoke"],
 ])
 @pytest.mark.parametrize("bad, flag", [
     (["--deadline", "0"], "--deadline"),
@@ -521,9 +537,11 @@ def _assert_usage_error(argv, flag, tmp_path, capsys):
 @pytest.mark.parametrize("command, bad, flag", [
     (command, [flag, value], flag)
     for command, flags in [
-        (["sweep", "--smoke", "--no-cache"],
-         ["--workers", "--scale", "--chunk-size"]),
-        (["tables", "--table", "4", "--smoke"], ["--workers", "--scale"]),
+        (["sweep", "--smoke", "--no-cache"], ["--workers", "--scale"]),
+        (["sweep", "--circuits", "s1196", "--strategies", "serial"],
+         ["--workers"]),
+        (["sweep", "--scenario", "table4", "--smoke"],
+         ["--workers", "--scale"]),
         (["run", "--circuit", "s1196"], ["--iterations"]),
     ]
     for flag in flags
@@ -532,8 +550,9 @@ def _assert_usage_error(argv, flag, tmp_path, capsys):
 def test_bad_pool_or_scale_value_is_a_usage_error(
     command, bad, flag, tmp_path, capsys,
 ):
-    """The pool and scale flags of ``sweep`` and ``tables`` and the
-    iteration budget of ``run`` take positive integers: 0 or less is the
+    """The pool and scale flags of ``sweep`` (on the smoke scenario, a
+    custom grid and a paper table) and the iteration budget of ``run``
+    take positive integers: 0 or less is the
     same parse-time usage error as a bad knob (not a pool or engine
     traceback, nor a silent full-budget run)."""
     _assert_usage_error(command + bad, flag, tmp_path, capsys)
@@ -570,15 +589,3 @@ def test_run_accepts_knobs_at_their_defaults(monkeypatch):
               "--eval-mode", "scalar"])
     assert [c.cell_id for c in cells] == ["s1196/seed1/profile"]
     assert cells[0].params == ()
-
-
-def test_run_scenario_artifact_is_named_like_the_sweep_one(tmp_path, capsys):
-    """`repro run --scenario` suffixes forced knobs onto the artifact name,
-    so a batch run never overwrites the default `smoke.json`."""
-    assert main(["run", "--scenario", "smoke", "--out", str(tmp_path)]) == 0
-    assert main(["run", "--scenario", "smoke", "--eval-mode", "batch",
-                 "--out", str(tmp_path)]) == 0
-    default = json.loads((tmp_path / "smoke.json").read_text())
-    batch = json.loads((tmp_path / "smoke-batch.json").read_text())
-    assert {r["spec"]["eval_mode"] for r in default["records"]} == {"scalar"}
-    assert {r["spec"]["eval_mode"] for r in batch["records"]} == {"batch"}

@@ -8,13 +8,15 @@ SIGKILL the process at a fixed point of the run:
 * ``cache-replace`` — after a cell cache entry's tmp file is written,
   before ``os.replace`` moves it in (the writer holds its ``.locks/``
   flock at that moment);
-* ``artifact`` — halfway through writing the artifact JSON's tmp file.
+* ``artifact`` — halfway through writing the artifact JSON's tmp file;
+* ``put`` — right after a pooled sweep files a cell in the cache.
 
 Then ``--resume`` on the same directory must finish the sweep, and
 ``repro diff`` against a fresh ``--no-cache`` run must report the two
 artifacts identical.  What a kill leaves behind — a leftover tmp file, a
 torn cache entry, a stale lock file — reads as a cache miss, never as an
-error.
+error, and the resumed run's writes of the same files remove the tmp
+files.
 
 The last test SIGKILLs the driver of a pooled sweep and requires every
 pool worker to exit with it.
@@ -91,6 +93,17 @@ LAUNCHER = textwrap.dedent("""
             return real_write_text(self, data, *args, **kwargs)
 
         pathlib.Path.write_text = write_text
+    elif point == "put":
+        from repro.experiments.artifacts import CellCache
+        real_put = CellCache.put
+
+        def put(self, *args, **kwargs):
+            path = real_put(self, *args, **kwargs)
+            if due():
+                die()
+            return path
+
+        CellCache.put = put
     else:
         sys.exit(f"unknown kill point {point!r}")
 
@@ -131,8 +144,8 @@ def fresh(tmp_path_factory) -> Path:
     return out / "grid.json"
 
 
-def _killed(out: Path, point: str, nth: int) -> None:
-    proc = _repro("sweep", *GRID, "--out", str(out), kill=(point, nth))
+def _killed(out: Path, point: str, nth: int, *argv: str) -> None:
+    proc = _repro("sweep", *GRID, "--out", str(out), *argv, kill=(point, nth))
     assert proc.returncode == -signal.SIGKILL, (proc.stdout, proc.stderr)
 
 
@@ -178,7 +191,9 @@ def test_kill_between_cache_tmp_write_and_replace_then_resume(
     assert _hits(tmp_path) == [True] * 4
     for entry in cells_dir.glob("*.json"):
         json.loads(entry.read_text())  # the torn entry was rewritten
-    assert leftover.exists() and stale.exists()  # inert, not fatal
+    # The resumed write of the same key removed the leftover under the
+    # flock; the lock file is inert and stays.
+    assert not leftover.exists() and stale.exists()
 
 
 def test_kill_mid_artifact_write_then_resume(tmp_path, fresh, capsys):
@@ -188,6 +203,18 @@ def test_kill_mid_artifact_write_then_resume(tmp_path, fresh, capsys):
     with pytest.raises(ValueError):
         json.loads(torn.read_text())
     assert _hits(tmp_path) == [True] * 4  # every cell finished first
+    _resume_matches_fresh(tmp_path, fresh, capsys)
+    assert not torn.exists()  # the resumed save removed it
+
+
+def test_kill_pooled_sweep_after_second_put_then_resume(
+    tmp_path, fresh, capsys,
+):
+    # One worker runs the cells in order, one task each: the two filed
+    # cells survive, and only the running cell is lost.
+    _killed(tmp_path, "put", 2, "--workers", "1")
+    assert len(CellCache(tmp_path / "cells")) == 2
+    assert _hits(tmp_path) == [True, True, False, False]
     _resume_matches_fresh(tmp_path, fresh, capsys)
 
 
