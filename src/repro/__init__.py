@@ -6,7 +6,7 @@ A multiobjective (wirelength / power / delay) standard-cell placer driven
 by the Simulated Evolution metaheuristic, three parallelization strategies
 (low-level, domain decomposition, parallel search) over an MPI-like
 message-passing substrate with a deterministic simulated cluster, and the
-benchmark harnesses that regenerate the paper's tables.
+scenario registry whose sweeps regenerate the paper's tables.
 
 Quickstart
 ----------

@@ -3,8 +3,10 @@
 * :mod:`repro.analysis.profiling` — the Section 4 runtime-share breakdown;
 * :mod:`repro.analysis.speedup` — speed-up/efficiency math and the paper's
   quality-bracket convention for Tables 2/3;
-* :mod:`repro.analysis.reporting` — plain-text table rendering used by the
-  benches to print paper-shaped output.
+* :mod:`repro.analysis.reporting` — plain-text rendering of sweep records
+  in the paper's table shapes;
+* :mod:`repro.analysis.claims` — the DESIGN §7 claims as checks over sweep
+  records.  Only ``repro sweep`` imports it, so it is not re-exported here.
 """
 
 from repro.analysis.profiling import profile_serial_run, ProfileReport

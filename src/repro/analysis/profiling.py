@@ -52,19 +52,6 @@ class ProfileReport:
         """The matching PAPER_SHARES key for this objective set."""
         return "-".join(self.objectives)
 
-    def rows(self) -> list[dict[str, object]]:
-        """Per-category rows with the paper value alongside, for rendering."""
-        paper = PAPER_SHARES.get(self.version_key(), {})
-        cats = sorted(self.shares, key=lambda c: -self.shares[c])
-        return [
-            {
-                "category": c,
-                "measured %": round(100 * self.shares[c], 2),
-                "paper %": round(100 * paper[c], 2) if c in paper else "-",
-            }
-            for c in cats
-        ]
-
 
 def profile_serial_run(
     spec: ExperimentSpec, work_model: WorkModel | None = None

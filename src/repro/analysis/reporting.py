@@ -1,14 +1,14 @@
-"""Plain-text table rendering for benches, sweeps and the CLI.
+"""Plain-text table rendering for sweeps and the CLI.
 
 Two layers:
 
-* the generic :func:`render_table` (aligned monospace dict-rows) the bench
-  harnesses print with;
+* the generic :func:`render_table` (aligned monospace dict-rows);
 * artifact renderers — :func:`render_records` and the per-table helpers —
   that take the :class:`~repro.experiments.artifacts.RunRecord` lists a
   sweep produced (or an :class:`~repro.experiments.artifacts.ArtifactStore`
   loaded back from disk) and lay them out in the paper's Table 1–4 shapes,
-  including the quality-bracket convention of Tables 2/3.
+  including the quality-bracket convention of Tables 2/3, with the
+  paper's own numbers in a ``paper`` column where it reports them.
 
 No external dependency — aligned monospace columns.
 """
@@ -16,6 +16,8 @@ No external dependency — aligned monospace columns.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+
+from repro.analysis.profiling import PAPER_SHARES
 
 if TYPE_CHECKING:  # import cycle guard: experiments.artifacts imports runners
     from repro.experiments.artifacts import RunRecord
@@ -35,6 +37,29 @@ __all__ = [
     "render_speedup_records",
     "render_generic_records",
 ]
+
+
+#: The paper's Table 1 runtimes in seconds: serial, then Type I at p=2..5.
+PAPER_TABLE1_SECONDS: dict[str, tuple[int, ...]] = {
+    "s1196": (92, 130, 130, 130, 130),
+    "s1488": (187, 263, 263, 263, 263),
+    "s1494": (190, 268, 268, 273, 270),
+    "s1238": (91, 127, 129, 131, 130),
+    "s3330": (3750, 5480, 5463, 5467, 5453),
+}
+
+#: The paper's serial µ(s) per circuit, by objective set: Table 2 (w/p)
+#: and Table 3 (w/p/d).
+PAPER_SERIAL_MU: dict[tuple[str, ...], dict[str, float]] = {
+    ("wirelength", "power"): {
+        "s1196": 0.684, "s1488": 0.673, "s1494": 0.650, "s1238": 0.719,
+        "s3330": 0.699,
+    },
+    ("wirelength", "power", "delay"): {
+        "s1196": 0.634, "s1488": 0.523, "s1494": 0.626, "s1238": 0.666,
+        "s3330": 0.674,
+    },
+}
 
 
 def format_seconds(seconds: float) -> str:
@@ -156,8 +181,12 @@ def render_table1_records(records: Sequence["RunRecord"], title: str | None = No
         for r in sorted(t1.get(g, []), key=lambda r: r.params.get("p", 0)):
             o = r.outcome or {}
             row[f"p={r.params.get('p')}"] = format_seconds(o.get("runtime", 0.0))
+        paper = PAPER_TABLE1_SECONDS.get(g[0])
+        row["paper"] = "/".join(map(str, paper)) if paper else "-"
         rows.append(row)
-    return render_table(rows, title=title or "Table 1 — Type I runtimes (model-seconds)")
+    return render_table(rows, title=title or (
+        "Table 1 — Type I runtimes (model-seconds; paper = the paper's "
+        "seconds, Seq/p=2/p=3/p=4/p=5)"))
 
 
 def render_type2_records(records: Sequence["RunRecord"], title: str | None = None) -> str:
@@ -165,7 +194,8 @@ def render_type2_records(records: Sequence["RunRecord"], title: str | None = Non
 
     Cells follow the paper's convention — the time the parallel run first
     reached the serial best µ, else the full runtime with the achieved
-    quality percentage in brackets.
+    quality percentage in brackets.  The paper's serial µ(s) for the
+    circuit and objective set sits beside the measured one.
     """
     from repro.analysis.speedup import quality_bracket
 
@@ -179,9 +209,11 @@ def render_type2_records(records: Sequence["RunRecord"], title: str | None = Non
         if g not in serial:
             continue
         s = serial[g].outcome or {}
+        paper = PAPER_SERIAL_MU.get(tuple(serial[g].spec.get("objectives", ())), {})
         row: dict[str, Any] = {
             **_label(g, multi_seed),
             "µ(s)": f"{s.get('best_mu', 0.0):.3f}",
+            "paper µ(s)": paper.get(g[0], "-"),
             "Seq": format_seconds(s.get("runtime", 0.0)),
         }
         cells = sorted(
@@ -236,17 +268,20 @@ def render_table4_records(records: Sequence["RunRecord"], title: str | None = No
 
 
 def render_profile_records(records: Sequence["RunRecord"], title: str | None = None) -> str:
-    """Section 4 layout: work-category share per circuit and version."""
+    """Section 4 layout: work-category share per circuit and version,
+    with the paper's gprof share alongside."""
     rows = []
     for r in _ok_records(records):
         extras = (r.outcome or {}).get("extras", {})
         shares = extras.get("shares", {})
+        paper = PAPER_SHARES.get(extras.get("version", ""), {})
         for cat in sorted(shares, key=lambda c: -shares[c]):
             rows.append({
                 "Ckt": r.spec.get("circuit", "?"),
                 "version": extras.get("version", "?"),
                 "category": cat,
                 "share %": round(100 * shares[cat], 2),
+                "paper %": round(100 * paper[cat], 2) if cat in paper else "-",
             })
     return render_table(rows, title=title or "Section 4 — runtime profile shares")
 

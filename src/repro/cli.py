@@ -11,8 +11,9 @@ Subcommands
     Run a registered scenario (``--scenario table1`` … ``table4`` for the
     paper's tables) or an open-ended ``circuit × strategy × p × pattern``
     grid end to end: resolve, run the cells in-process or one per task
-    over a process pool of ``--workers N``, save the artifacts and render
-    the paper-shaped report.  ``--shard i/N`` runs one deterministic
+    over a process pool of ``--workers N``, save the artifacts, render
+    the paper-shaped report and, under a paper table, print one verdict
+    line per DESIGN §7 claim.  ``--shard i/N`` runs one deterministic
     slice of the grid (CI/cluster fan-out); ``--resume`` replays
     completed cells from the on-disk cell cache and re-runs only the
     missing or failed ones.
@@ -442,11 +443,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _execute_sweep(
     args: argparse.Namespace, scenario: Any, cells: Sequence[SweepCell]
 ) -> int:
-    """The tail of `sweep`: run, save artifacts, render the report.
+    """The tail of `sweep`: run, save artifacts, render the report and
+    the scenario's claim verdicts.
 
     Exit status: 0 all cells succeeded, 1 any cell failed, 2 bad usage —
-    a red sweep must never look green to a caller or a CI job.
+    a red sweep must never look green to a caller or a CI job.  A claim
+    that does not hold does not change it.
     """
+    from repro.analysis.claims import check_claims
+
     for cell, reason in scenario.dropped_cells:
         print(f"note: dropped {cell}: {reason}", file=sys.stderr)
     if not cells:
@@ -458,6 +463,7 @@ def _execute_sweep(
     # suffix.
     forced = {name: getattr(args, name) for name in KNOBS}
     cells = override(cells, **forced)
+    planned = [c.cell_id for c in cells]
     tag = args.tag or scenario.name
     if not args.tag:
         if args.smoke and not tag.endswith("smoke"):
@@ -521,6 +527,11 @@ def _execute_sweep(
     print(f"\nartifacts: {json_path}  {csv_path}")
     print()
     print(render_records(records, scenario.name))
+    verdicts = check_claims(scenario.name, records, planned)
+    if verdicts:
+        print("\nclaims (DESIGN.md §7):")
+        for verdict in verdicts:
+            print(f"  {verdict.line()}")
     bad = failed(records)
     if bad:
         print(f"\n{len(bad)} of {len(records)} cell(s) FAILED", file=sys.stderr)

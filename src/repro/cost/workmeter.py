@@ -57,7 +57,7 @@ class WorkModel:
     """Seconds-per-unit coefficients for each work category.
 
     The defaults here are unit-neutral (1 µs per unit everywhere); the
-    calibrated model used by the benches lives in
+    calibrated model every run uses lives in
     :func:`repro.parallel.mpi.calibration.calibrated_work_model`.
     """
 

@@ -12,7 +12,7 @@ The layer that turns the library into a runnable system:
   layouts.
 
 The ``repro`` console script (:mod:`repro.cli`) is a thin shell over these
-three modules; the benches and examples build on them too.
+three modules; ``benchmarks/`` and the examples build on them too.
 """
 
 from repro.experiments.artifacts import (

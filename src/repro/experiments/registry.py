@@ -7,14 +7,14 @@ circuit set, an objective set, a paper iteration budget and a grid of
 strategy configurations.  :func:`resolve` expands a scenario into concrete
 :class:`SweepCell`\\ s (one :class:`~repro.parallel.runners.ExperimentSpec`
 plus runner parameters per cell) that :mod:`repro.experiments.sweeps` can
-execute serially or across a process pool, and that the benches, the CLI
-and the examples all share — no more hand-written driver scripts.
+execute serially or across a process pool.  ``repro sweep --scenario``,
+``benchmarks/`` and the examples all run experiments this one way.
 
 Scaling
 -------
 The paper runs 2 500–5 000 SimE iterations per configuration; a pure-Python
-reproduction divides budgets by ``scale`` (default 100, like the benches'
-``REPRO_SCALE``) while preserving the serial/parallel budget *ratios*.
+reproduction divides budgets by ``scale`` (default 100; ``repro sweep
+--scale``) while preserving the serial/parallel budget *ratios*.
 ``smoke=True`` shrinks a scenario further (one cheap circuit, a handful of
 iterations) for CI and quick sanity runs.
 
@@ -681,8 +681,8 @@ def resolve(
 ) -> list[SweepCell]:
     """Expand a scenario into concrete, validated sweep cells.
 
-    ``scale`` divides the paper iteration budget (``REPRO_SCALE``
-    convention); ``circuits``/``seeds`` override the scenario's own;
+    ``scale`` divides the paper iteration budget (``repro sweep
+    --scale``); ``circuits``/``seeds`` override the scenario's own;
     ``smoke`` shrinks to the scenario's smoke circuits and
     :data:`SMOKE_ITERATIONS`.  Resolution is deterministic: the same
     arguments always produce the same cells in the same order.  Cells that

@@ -12,8 +12,9 @@ iteration (Section 6.2):
   the rows is split into m groups each iteration.
 
 A plain contiguous-only pattern is provided for the mobility ablation
-(A1 in DESIGN.md): it never lets a cell leave its row band, demonstrating
-why the alternation matters.
+(``test_pattern_mobility`` in ``tests/parallel/test_netmodel_partition.py``,
+and A1 in ``benchmarks/test_paper_claims.py``): it never lets a cell leave
+its row band, demonstrating why the alternation matters.
 
 All patterns return a list of ``m`` row-index lists that partition
 ``range(num_rows)``; every processor always receives at least one row

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.profiling import PAPER_SHARES, profile_serial_run
+from repro.analysis.profiling import PAPER_SHARES, profile_serial_run, run_profile
 from repro.analysis.reporting import format_seconds, render_table
 from repro.analysis.speedup import (
     BracketResult,
@@ -36,12 +36,23 @@ def test_profile_allocation_dominates():
 
 
 def test_profile_rows_include_paper_values():
+    """The Section 4 table puts the paper's gprof share beside each
+    measured one."""
+    from repro.analysis.reporting import render_profile_records
+    from repro.experiments.artifacts import RunRecord
+
     spec = ExperimentSpec(circuit="_an100", iterations=5)
-    report = profile_serial_run(spec)
-    rows = report.rows()
-    alloc_row = next(r for r in rows if r["category"] == "allocation")
-    assert alloc_row["paper %"] == pytest.approx(98.4)
-    assert report.version_key() == "wirelength-power"
+    outcome = run_profile(spec)
+    record = RunRecord(
+        scenario="profile", cell_id="_an100/seed1/profile",
+        strategy="profile", spec=spec.to_dict(), params={}, ok=True,
+        error=None, outcome=outcome.to_dict(), wall_seconds=0.0,
+    )
+    lines = render_profile_records([record]).splitlines()
+    assert lines[1].split()[-2:] == ["paper", "%"]
+    alloc_row = next(line for line in lines if " allocation " in line)
+    assert float(alloc_row.split()[-1]) == pytest.approx(98.4)
+    assert outcome.extras["version"] == "wirelength-power"
 
 
 def test_paper_shares_reference():

@@ -103,6 +103,31 @@ def test_tables_smoke_renders_table_shape(tmp_path, capsys):
     assert strategies == {"serial", "type1"}
 
 
+def test_sweep_prints_one_verdict_per_claim(tmp_path, capsys):
+    """Under a paper table, `sweep` prints one verdict line per DESIGN §7
+    claim; a shard lacks cells, so none of them is checked, let alone
+    holds, and the exit status stays the sweep's own."""
+    from repro.analysis.claims import CLAIMS
+
+    names = [c.name for c in CLAIMS["table1"]]
+    argv = ["sweep", "--scenario", "table1", "--smoke", "--out", str(tmp_path)]
+
+    def verdicts(out):
+        return [line.strip() for line in out.splitlines()
+                if line.strip().startswith("E")]
+
+    assert main(argv) == 0
+    full = verdicts(capsys.readouterr().out)
+    assert [v.split(": ")[0] for v in full] == names
+    assert all(v.split(": ")[1] in ("holds", "does not hold") for v in full)
+
+    assert main(argv + ["--shard", "1/2", "--resume"]) == 0
+    shard = verdicts(capsys.readouterr().out)
+    assert [v.split(": ")[0] for v in shard] == names
+    assert all(v.split(": ")[1] == "not checked" for v in shard)
+    assert not any("holds" in v for v in shard)
+
+
 def test_sweep_custom_grid_smoke_keeps_circuits(tmp_path, capsys):
     code = main([
         "sweep", "--circuits", "s1238", "--strategies", "serial",

@@ -156,6 +156,7 @@ def test_render_records_paper_shapes():
     records = run_sweep(cells)
     text = render_records(records, "table1")
     assert "Table 1" in text and "p=5" in text and "s1196" in text
+    assert "92/130/130/130/130" in text  # the paper's seconds
 
     generic = render_records(records, "unknown-scenario")
     assert "Sweep results" in generic
@@ -164,8 +165,10 @@ def test_render_records_paper_shapes():
 def test_table2_and_table3_reports_are_distinguishable():
     cells = resolve("table2", circuits=["s1196"], smoke=True)[:2]
     records = run_sweep(cells)
-    assert "Table 2" in render_records(records, "table2")
+    text = render_records(records, "table2")
+    assert "Table 2" in text
     assert "Table 3" in render_records(records, "table3")
+    assert "paper µ(s)" in text and "0.684" in text  # the paper's s1196 w/p µ(s)
 
 
 def test_render_keeps_multi_seed_replicates_separate():

@@ -100,6 +100,30 @@ def test_fixed_mobility_two_steps():
             assert reach == set(range(num_rows)), (num_rows, m, a)
 
 
+def reach_iterations(pattern, num_rows, m, max_steps=12):
+    """Iterations until a cell starting in row 0 can have reached every
+    row (``max_steps + 1`` if it never does)."""
+    rng = RngStream(0)
+    reachable = {0}
+    for step in range(1, max_steps + 1):
+        parts = pattern_by_name(pattern, num_rows, m, step - 1, rng)
+        part_of = {r: set(part) for part in parts for r in part}
+        reachable = set().union(*(part_of[r] for r in reachable))
+        if len(reachable) == num_rows:
+            return step
+    return max_steps + 1
+
+
+def test_pattern_mobility():
+    """The alternation argument ``parallel/partition.py`` cites: on an
+    18-row grid at m=5 the paper's fixed and random patterns let a cell
+    reach every row within a few iterations, and the contiguous-only
+    pattern never does."""
+    assert reach_iterations("fixed", 18, 5) <= 3
+    assert reach_iterations("random", 18, 5) <= 6
+    assert reach_iterations("contiguous", 18, 5) > 12
+
+
 def test_random_pattern_partitions():
     parts = random_row_pattern(13, 4, RngStream(0))
     assert_partition(parts, 13, 4)
