@@ -20,12 +20,6 @@ Subcommands
 ``repro diff``
     Compare two sweep artifacts cell by cell (modulo wall-clock); exit 1
     on any difference — the merge gate for sharded runs.
-``repro bench``
-    Determinism gate: run the smoke suite three times, require every
-    pass to agree, and with ``--check`` require model-seconds and µ(s)
-    to match a committed baseline such as ``BENCH_PR3.json`` exactly.
-    Wall-clock is measured by ``perfbench/`` and the records'
-    ``wall_seconds``, not here.
 ``repro lint``
     Project-specific AST invariant linter (determinism, comm-protocol,
     cache-identity, typed-island rules) and comm-protocol model checker
@@ -244,22 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("a", help="first artifact JSON path")
     p_diff.add_argument("b", help="second artifact JSON path")
     p_diff.set_defaults(func=cmd_diff)
-
-    p_bench = sub.add_parser(
-        "bench", help="determinism gate over the smoke suite")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="accepted and ignored; the suite is always "
-                              "smoke-sized")
-    p_bench.add_argument("--scenarios", type=_csv_list, default=None,
-                         help="scenario names to run at smoke size "
-                              "(default: smoke,table2)")
-    p_bench.add_argument("--out", default=None,
-                         help="write the JSON report to this path")
-    p_bench.add_argument("--check", default=None, metavar="BASELINE",
-                         help="fail unless model-seconds and µ(s) exactly "
-                              "match this baseline report (wall-clock is "
-                              "never compared)")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_lint = sub.add_parser(
         "lint",
@@ -572,62 +550,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
         print(f"\n{len(problems)} difference(s)", file=sys.stderr)
         return 1
     print(f"identical: {len(a_map)} cells (modulo wall_seconds)")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        DEFAULT_SCENARIOS,
-        bench_cells,
-        check_against,
-        load_report,
-        render_bench,
-        run_bench,
-        save_report,
-    )
-
-    # Load the baseline first: a bad one is a usage error (exit 2)
-    # before any cell runs.
-    baseline = None
-    if args.check:
-        try:
-            baseline = load_report(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.check}: {exc}",
-                  file=sys.stderr)
-            return 2
-        listed = baseline.get("cells") if isinstance(baseline, dict) else None
-        if not isinstance(listed, list) or not all(
-                isinstance(c, dict) and "id" in c for c in listed):
-            print(f"error: {args.check} has no bench cells list "
-                  "(not a bench report?)", file=sys.stderr)
-            return 2
-    try:
-        cells = bench_cells(args.scenarios or DEFAULT_SCENARIOS)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    report = run_bench(cells)
-    print(render_bench(report))
-    if args.out:
-        path = save_report(report, args.out)
-        print(f"\nbench report: {path}")
-    failed_cells = [c for c in report["cells"] if not c["ok"]]
-    if failed_cells:
-        for c in failed_cells:
-            print(f"BENCH FAILURE: {c['id']}: "
-                  f"{'non-deterministic repeats' if not c['deterministic'] else c['error']}",
-                  file=sys.stderr)
-        return 1
-    if baseline is not None:
-        problems = check_against(report, baseline)
-        if problems:
-            print(f"\ndeterminism gate vs {args.check}: FAILED", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"\ndeterminism gate vs {args.check}: ok "
-              f"({len(report['cells'])} cells, model-seconds and µ(s) exact)")
     return 0
 
 

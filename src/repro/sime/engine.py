@@ -1,12 +1,16 @@
 """The serial SimE loop (paper Figure 1) with statistics and best tracking.
 
-The loop is deliberately exposed at *step* granularity: the parallel
-strategies re-use the same Evaluation/Selection/Allocation code —
+The serial run and the ESP baseline drive this loop through
+:meth:`SimulatedEvolution.run`; Type III searchers call
+:meth:`SimulatedEvolution.step` themselves and wrap their exchange
+protocol around it.  The other strategies share the operators rather
+than the loop:
 
-* Type I keeps this loop at the master and only distributes Evaluation;
-* Type II runs this exact step on row partitions inside each slave;
-* Type III runs the full serial loop per thread and adds an exchange
-  protocol around it —
+* Type I keeps the serial operators at the master and only distributes
+  Evaluation;
+* Type II slaves run their own loop (``parallel/type2.py::_spmd``) over
+  the same goodness, selection and :class:`~repro.sime.allocation.Allocator`
+  code, restricted to their row partition —
 
 so "parallel vs serial" comparisons compare parallelization, not two
 different placers.
@@ -84,15 +88,8 @@ class SimulatedEvolution:
         self._stall = 0
 
     # ------------------------------------------------------------------
-    def step(
-        self,
-        cells: list[int] | None = None,
-        allowed_rows: list[int] | None = None,
-    ) -> IterationRecord:
+    def step(self) -> IterationRecord:
         """One Evaluation → Selection → Allocation iteration.
-
-        ``cells``/``allowed_rows`` restrict the operators to a subset
-        (Type II slaves); the default covers the whole solution.
 
         The per-iteration refresh follows ``config.refresh_policy``: the
         default trusts the engine's exact incremental caches and only
@@ -106,7 +103,7 @@ class SimulatedEvolution:
             engine.full_refresh()
         else:
             engine.refresh_totals()
-        goodness = evaluate_goodness(engine, cells)
+        goodness = evaluate_goodness(engine)
         selected = select_cells(
             goodness,
             self.rng,
@@ -114,7 +111,7 @@ class SimulatedEvolution:
             adaptive=cfg.adaptive_bias,
             meter=engine.meter,
         )
-        self.allocator.allocate(selected, goodness, allowed_rows)
+        self.allocator.allocate(selected, goodness)
         if cfg.verify_every and (self._iteration + 1) % cfg.verify_every == 0:
             engine.assert_consistent()
 

@@ -5,8 +5,9 @@ rather than the global :mod:`random` / :mod:`numpy.random` state.  This gives
 
 * **reproducibility** — a run is a pure function of its seeds;
 * **per-rank independence** — parallel strategies hand each rank its own
-  stream derived from a root seed, mirroring how the paper ran "the same
-  starting solution but with different randomization seeds" (Section 6.3).
+  stream derived from a root seed (``parallel/runners.py::stream_for``),
+  mirroring how the paper ran "the same starting solution but with
+  different randomization seeds" (Section 6.3).
 
 Streams are thin wrappers over :class:`numpy.random.Generator` with a few
 convenience draws used throughout the SimE code (uniform variates for the
@@ -20,9 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.utils.hashing import stable_hash
-
-__all__ = ["RngStream", "spawn_streams", "rank_substream"]
+__all__ = ["RngStream"]
 
 
 class RngStream:
@@ -90,55 +89,5 @@ class RngStream:
             j = int(self._gen.integers(0, i + 1))
             items[i], items[j] = items[j], items[i]
 
-    # -- stream management ----------------------------------------------
-    def spawn(self, n: int) -> list["RngStream"]:
-        """Derive ``n`` statistically independent child streams."""
-        seq = np.random.SeedSequence(
-            self.seed if isinstance(self.seed, int) else None
-        )
-        children = seq.spawn(n)
-        return [
-            RngStream(child, name=f"{self.name}.{i}") for i, child in enumerate(children)
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(name={self.name!r}, seed={self.seed!r})"
-
-
-def spawn_streams(root_seed: int, n: int, prefix: str = "rank") -> list[RngStream]:
-    """Create ``n`` independent streams for ``n`` parallel ranks.
-
-    Rank ``i`` receives a stream derived from ``(root_seed, i)`` via
-    :class:`numpy.random.SeedSequence`, so streams never collide even for
-    adjacent seeds — the standard mpi4py-era idiom for per-rank RNGs.
-    """
-    seq = np.random.SeedSequence(root_seed)
-    children = seq.spawn(n)
-    return [RngStream(c, name=f"{prefix}{i}") for i, c in enumerate(children)]
-
-
-def rank_substream(seed: int, rank: int, name: str = "rank") -> RngStream:
-    """Deterministic counter-based RNG substream for one rank.
-
-    The stream is a Philox (counter-based) generator whose 128-bit key is
-    ``stable_hash((seed, rank))`` — a pure function of the two integers,
-    with no spawn-tree state to thread through the program.  That buys
-    the guarantees massive fan-out needs (the mrg32k3a independent-stream
-    design PyMOSO uses, in numpy form):
-
-    * **reproducible anywhere** — any process can reconstruct rank ``k``'s
-      stream from ``(seed, k)`` alone: identical across backends
-      (sim/socket), start methods (fork/spawn), hosts, and runs;
-    * **pairwise independent** — distinct ``(seed, rank)`` pairs hash to
-      distinct keys, and distinct Philox keys index statistically
-      independent 2^128-long streams, so no two ranks' draws overlap;
-    * **O(1) construction** — no need to spawn ``p`` children to get the
-      ``p``-th stream, which matters at p in the hundreds.
-
-    Note the paper-reproduction strategies keep their original
-    ``SeedSequence.spawn`` derivation (changing it would perturb every
-    pinned benchmark); this is the scheme new cluster-scale code should
-    use.
-    """
-    key = int(stable_hash((int(seed), int(rank)), length=32), 16)
-    return RngStream(np.random.Philox(key=key), name=f"{name}{rank}")

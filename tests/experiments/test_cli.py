@@ -560,14 +560,16 @@ def _assert_usage_error(argv, flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, bad, flag", [
-    (command, [flag, value], flag)
-    for command, flags in [
-        (["sweep", "--smoke", "--no-cache"], ["--workers", "--scale"]),
-        (["sweep", "--circuits", "s1196", "--strategies", "serial"],
-         ["--workers"]),
-        (["sweep", "--scenario", "table4", "--smoke"],
+    pytest.param(command, [flag, value], flag, id=f"{name}-{flag}={value}")
+    for name, command, flags in [
+        ("sweep-smoke", ["sweep", "--smoke", "--no-cache"],
          ["--workers", "--scale"]),
-        (["run", "--circuit", "s1196"], ["--iterations"]),
+        ("sweep-grid",
+         ["sweep", "--circuits", "s1196", "--strategies", "serial"],
+         ["--workers"]),
+        ("sweep-table4", ["sweep", "--scenario", "table4", "--smoke"],
+         ["--workers", "--scale"]),
+        ("run", ["run", "--circuit", "s1196"], ["--iterations"]),
     ]
     for flag in flags
     for value in ("0", "-1")

@@ -38,13 +38,19 @@ def test_allocate_empty_selection_is_noop(setup):
 
 
 def test_allocate_respects_allowed_rows(setup):
+    """Type II building block: a rank's allocation moves cells only
+    within its rows and leaves every other row as it was."""
     grid, engine, placement, allocator = setup
     goodness = evaluate_goodness(engine)
     allowed = [1, 3]
+    others = {r: list(placement.rows[r])
+              for r in range(grid.num_rows) if r not in allowed}
     selected = [c for c in list(goodness) if placement.row_of[c] in allowed][:10]
     allocator.allocate(selected, goodness, allowed_rows=allowed)
     for c in selected:
         assert placement.row_of[c] in allowed
+    for r, content in others.items():
+        assert placement.rows[r] == content
     placement.validate()
 
 

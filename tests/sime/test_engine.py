@@ -81,22 +81,6 @@ def test_iteration_records_complete(small_netlist):
     assert secs == sorted(secs)
 
 
-def test_step_with_subset(small_netlist):
-    """Type II building block: restricted cells/rows stay restricted."""
-    grid, engine, sime = build(small_netlist, max_iterations=5)
-    placement = random_placement(grid, RngStream(1))
-    engine.attach(placement)
-    my_rows = [0, 2]
-    my_cells = [c for r in my_rows for c in placement.rows[r]]
-    before_other = {
-        r: list(placement.rows[r]) for r in range(grid.num_rows) if r not in my_rows
-    }
-    sime.step(cells=my_cells, allowed_rows=my_rows)
-    for r, content in before_other.items():
-        assert placement.rows[r] == content
-    placement.validate()
-
-
 def test_delay_objective_runs(small_netlist):
     grid, engine, sime = build(
         small_netlist, objectives=("wirelength", "power", "delay"), max_iterations=8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngStream, spawn_streams
+from repro.utils.rng import RngStream
 
 
 def test_same_seed_same_draws():
@@ -55,18 +55,6 @@ def test_choice_single_and_multi():
     assert rng.choice(seq) in seq
     picks = rng.choice(seq, size=5)
     assert len(picks) == 5 and set(picks) <= set(seq)
-
-
-def test_spawn_streams_independent():
-    streams = spawn_streams(7, 4)
-    draws = [s.random() for s in streams]
-    assert len(set(draws)) == 4  # all distinct
-
-
-def test_spawn_streams_reproducible():
-    a = [s.random() for s in spawn_streams(7, 4)]
-    b = [s.random() for s in spawn_streams(7, 4)]
-    assert a == b
 
 
 def test_random_vector_shape():
